@@ -15,10 +15,17 @@
 
 use crate::codes;
 use ramiel_ir::{Graph, NodeId};
-use ramiel_runtime::memory::tensor_bytes;
 use ramiel_runtime::reuse::is_alias_op;
 use ramiel_verify::{Diagnostic, ScheduleView, Span};
 use std::collections::{HashMap, HashSet};
+
+/// Size in bytes of a (shape-inferred) tensor; 0 when unknown.
+pub fn tensor_bytes(graph: &Graph, tensor: &str) -> usize {
+    graph
+        .tensor_info(tensor)
+        .map(|i| i.numel() * i.dtype.size_bytes())
+        .unwrap_or(0)
+}
 
 /// The lifetime of one tensor instance on one worker.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -23,9 +23,8 @@
 //! workers, and the per-worker maxima cannot all be exceeded at once.
 
 use crate::codes;
-use crate::lifetime::instance_workers;
+use crate::lifetime::{instance_workers, tensor_bytes};
 use ramiel_ir::Graph;
-use ramiel_runtime::memory::tensor_bytes;
 use ramiel_runtime::reuse::is_alias_op;
 use ramiel_verify::{Diagnostic, ExecPolicy, ScheduleView, Span};
 use serde::Serialize;

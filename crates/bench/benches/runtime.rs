@@ -141,36 +141,12 @@ fn bench_simulator(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_pool_vs_spawn(c: &mut Criterion) {
-    // serving-shape ablation: standing ClusterPool (the paper's long-lived
-    // processes) vs spawn-per-inference run_parallel
-    let compiled = compile(
-        build(ModelKind::Squeezenet, &ModelConfig::full()),
-        &PipelineOptions::default(),
-    )
-    .expect("pipeline");
-    let inputs = synth_inputs(&compiled.graph, 42);
-    let ctx = ExecCtx::sequential();
-    let mut group = c.benchmark_group("pool_vs_spawn");
-    group.sample_size(20);
-    group.bench_function("spawn_per_inference", |b| {
-        b.iter(|| run_parallel(&compiled.graph, &compiled.clustering, &inputs, &ctx).expect("par"));
-    });
-    let mut pool = ramiel_runtime::ClusterPool::new(&compiled.graph, &compiled.clustering, &ctx)
-        .expect("pool");
-    group.bench_function("standing_pool", |b| {
-        b.iter(|| pool.run(&inputs).expect("pool run"));
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_sequential_execution,
     bench_parallel_execution,
     bench_intra_op,
     bench_pruned_execution,
-    bench_simulator,
-    bench_pool_vs_spawn
+    bench_simulator
 );
 criterion_main!(benches);

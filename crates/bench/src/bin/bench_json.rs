@@ -642,7 +642,7 @@ fn main() {
     }
 
     // Serving: closed-loop load through the serving layer (plan cache +
-    // standing pool + dynamic micro-batching) vs batch-1 per-request
+    // shared work-stealing pool + dynamic micro-batching) vs batch-1 per-request
     // execution (each request runs the parallel executor directly, spawning
     // its workers per call, as `ramiel run` does). Same model, same
     // clustering, same client count — the delta is what the serving

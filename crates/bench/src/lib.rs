@@ -11,13 +11,15 @@
 //!   simulator under the paper's static cost model (bit-for-bit
 //!   reproducible anywhere).
 
+use ramiel::analyze::memory::estimate_memory;
+use ramiel::verify::{ExecPolicy, ScheduleView};
 use ramiel::{compile, CompiledModel, PipelineOptions};
-use ramiel_cluster::{hypercluster, switched_hypercluster, StaticCost};
+use ramiel_cluster::{clustering_view, hypercluster, switched_hypercluster, StaticCost};
 use ramiel_ios::{ios_makespan, ios_schedule, IosConfig};
 use ramiel_models::{build, ModelConfig, ModelKind};
 use ramiel_runtime::{
-    clustering_peak_memory, run_hyper, run_parallel, run_sequential, sequential_peak_memory,
-    simulate_clustering, simulate_hyper, simulate_sequential, synth_inputs, Env, SimConfig,
+    run_hyper, run_parallel, run_sequential, simulate_clustering, simulate_hyper,
+    simulate_sequential, synth_inputs, Env, SimConfig,
 };
 use ramiel_tensor::ExecCtx;
 use std::time::{Duration, Instant};
@@ -562,23 +564,33 @@ pub struct MemoryRow {
 }
 
 /// Peak activation memory: sequential vs LC-parallel schedule, per model.
+/// Both peaks are `ramiel-analyze`'s static estimate: the topological walk
+/// on one worker, and every LC cluster replayed in order on its own worker
+/// (the parallel peak is the sum of per-cluster peaks, and a value sent
+/// across clusters is charged on its consumer too).
 pub fn memory_table() -> Vec<MemoryRow> {
     ModelKind::all()
         .into_iter()
         .map(|k| {
             let c =
                 compile(build(k, &model_config()), &PipelineOptions::default()).expect("pipeline");
-            let seq = sequential_peak_memory(&c.graph);
-            let par = clustering_peak_memory(&c.graph, &c.clustering, &StaticCost, &sim_config())
-                .expect("memory sim");
+            let order = ramiel_ir::topo::topo_sort(&c.graph).expect("topo");
+            let seq_view = ScheduleView::single_batch(vec![order], ExecPolicy::InOrder);
+            let par_view = clustering_view(&c.clustering);
+            let seq = estimate_memory(&c.graph, &seq_view).0.peak_bytes as f64;
+            let par = estimate_memory(&c.graph, &par_view).0.peak_bytes as f64;
+            let static_bytes: usize = c
+                .graph
+                .initializers
+                .values()
+                .map(|t| t.numel() * t.dtype().size_bytes())
+                .sum();
             MemoryRow {
                 model: k.name().into(),
-                static_kib: seq.static_bytes as f64 / 1024.0,
-                seq_peak_kib: seq.peak_activation_bytes as f64 / 1024.0,
-                par_peak_kib: par.peak_activation_bytes as f64 / 1024.0,
-                overhead_pct: 100.0
-                    * (par.peak_activation_bytes as f64 / seq.peak_activation_bytes.max(1) as f64
-                        - 1.0),
+                static_kib: static_bytes as f64 / 1024.0,
+                seq_peak_kib: seq / 1024.0,
+                par_peak_kib: par / 1024.0,
+                overhead_pct: 100.0 * (par / seq.max(1.0) - 1.0),
             }
         })
         .collect()
@@ -687,8 +699,8 @@ pub fn closed_loop_load(
 /// client threads and seeds as [`closed_loop_load`], but each request runs
 /// the parallel executor directly — fresh worker threads per call, exactly
 /// what `ramiel run` (and a naive server looping over it) does per
-/// inference. This is the baseline the serving layer's standing pool and
-/// dynamic batching are measured against.
+/// inference. This is the baseline the serving layer's shared
+/// work-stealing pool and dynamic batching are measured against.
 pub fn per_request_load(
     graph: &ramiel_ir::Graph,
     clustering: &ramiel_cluster::Clustering,

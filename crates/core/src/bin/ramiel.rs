@@ -5,7 +5,7 @@
 //! ramiel report                          Table-I-style parallelism metrics
 //! ramiel compile <model> [flags]         run the pipeline, emit Python code
 //! ramiel run <model> [flags]             execute seq/parallel and time it
-//! ramiel profile <model> [flags]         profiled run on all four executors,
+//! ramiel profile <model> [flags]         profiled seq/channel/hyper runs,
 //!                                        emits a Chrome/Perfetto trace plus
 //!                                        cost-model accuracy + reclustering
 //! ramiel check <model|all> [flags]       statically verify the schedule
@@ -551,15 +551,15 @@ fn cmd_run_chaos(
 }
 
 /// `ramiel profile <model>`: compile with stage tracing, run the model on
-/// all four executors with profiling on, merge everything onto one
-/// Chrome/Perfetto trace, and print a cost-model prediction-accuracy table
-/// plus a profile-guided reclustering comparison.
+/// the sequential, channel and hypercluster executors with profiling on,
+/// merge everything onto one Chrome/Perfetto trace, and print a cost-model
+/// prediction-accuracy table plus a profile-guided reclustering comparison.
 fn cmd_profile(model: &str, f: &Flags) -> Result<(), String> {
     use ramiel::obs::{validate_chrome_trace, Obs};
     use ramiel_cluster::{distance_to_end, linear_clustering, merge_clusters_fixpoint};
     use ramiel_runtime::{
         predict_report, run_hyper_profiled_opts, run_parallel_profiled_opts,
-        run_sequential_profiled, simulate_clustering, ClusterPool, SimConfig,
+        run_sequential_profiled, simulate_clustering, SimConfig,
     };
 
     let cfg = if f.tiny {
@@ -576,7 +576,6 @@ fn cmd_profile(model: &str, f: &Flags) -> Result<(), String> {
     obs.with_pid(2).name_process("sequential executor");
     obs.with_pid(3).name_process("parallel executor");
     obs.with_pid(4).name_process("hypercluster executor");
-    obs.with_pid(5).name_process("cluster pool");
 
     // prepare_with_obs() converts the initializer table once; each profiled
     // executor run shares it through its RunOptions.
@@ -588,7 +587,7 @@ fn cmd_profile(model: &str, f: &Flags) -> Result<(), String> {
 
     let ctx = ExecCtx::with_intra_op(f.intra_op);
     let inputs = synth_inputs(&c.graph, 42);
-    // All four executors profile under the same backend, so the divergence
+    // Every executor profiles under the same backend, so the divergence
     // checks compare like for like (i8 is deterministic across executors).
     let with_backend = |o: ramiel_runtime::RunOptions| match f.backend {
         Some(b) => o.backend(b),
@@ -620,18 +619,6 @@ fn cmd_profile(model: &str, f: &Flags) -> Result<(), String> {
     let (_, hyper_db) = run_hyper_profiled_opts(&c.graph, &hc, &batch_inputs, &ctx, &hyper_opts)
         .map_err(|e| format!("hyper: {e}"))?;
     hyper_db.export_to_obs(&obs.with_pid(4), &c.graph);
-
-    let pool_opts = with_backend(prepared.run_options().obs(obs.with_pid(5)));
-    let mut pool = ClusterPool::with_options(&c.graph, &c.clustering, &ctx, &pool_opts)
-        .map_err(|e| format!("pool: {e}"))?;
-    let (pool_out, pool_db) = pool
-        .run_profiled(&inputs)
-        .map_err(|e| format!("pool: {e}"))?;
-    pool_db.export_to_obs(&obs.with_pid(5), &c.graph);
-    if pool_out != seq_out {
-        return Err("pool output diverged from sequential".into());
-    }
-    drop(pool);
 
     // Prediction accuracy: the cost model that drove clustering vs what the
     // parallel run actually measured.
@@ -974,8 +961,8 @@ fn cmd_analyze(model: &str, f: &Flags) -> Result<Gate, String> {
 }
 
 /// `ramiel serve <model> --port N`: compile once, then serve inference over
-/// newline-delimited JSON TCP with dynamic micro-batching into hypercluster
-/// executions. Runs until a client sends `{"op":"shutdown"}` (graceful
+/// newline-delimited JSON TCP with dynamic micro-batching onto the shared
+/// work-stealing pool. Runs until a client sends `{"op":"shutdown"}` (graceful
 /// drain: queued requests finish first).
 fn cmd_serve(model: &str, f: &Flags) -> Result<(), String> {
     use ramiel_serve::{run_tcp_with_registry, OverflowPolicy, PlanSpec, ServeConfig, Server};
@@ -1019,11 +1006,6 @@ fn cmd_serve(model: &str, f: &Flags) -> Result<(), String> {
             max_retries: f.max_retries,
             fallback: true,
             ..Default::default()
-        },
-        executor: if f.stealing {
-            ramiel_serve::ServeExecutor::Stealing
-        } else {
-            ramiel_serve::ServeExecutor::Hyper
         },
         backend: f.backend,
         ..Default::default()

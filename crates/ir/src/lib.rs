@@ -41,7 +41,7 @@ pub use builder::GraphBuilder;
 pub use error::IrError;
 pub use graph::{Graph, Node, NodeId, TensorInfo};
 pub use op::{DType, OpKind, PoolSpec};
-pub use tensor_data::TensorData;
+pub use tensor_data::{checked_numel, TensorData, MAX_ELEMENTS};
 
 /// Result alias for IR operations.
 pub type Result<T> = std::result::Result<T, IrError>;

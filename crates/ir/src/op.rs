@@ -29,6 +29,15 @@ impl DType {
             DType::Bool => "bool",
         }
     }
+
+    /// Bytes per element.
+    pub fn size_bytes(self) -> usize {
+        match self {
+            DType::F32 => 4,
+            DType::I64 => 8,
+            DType::Bool => 1,
+        }
+    }
 }
 
 /// Spatial pooling attributes shared by `MaxPool` and `AveragePool`.

@@ -7,6 +7,21 @@
 use crate::op::DType;
 use serde::{Deserialize, Serialize};
 
+/// Largest element count a tensor may declare: 2^31 elements, 8 GiB of
+/// f32. Untrusted dims whose product is over it are refused before
+/// anything is allocated for them.
+pub const MAX_ELEMENTS: usize = 1 << 31;
+
+/// Element count of `shape`, or `None` when the product overflows or is
+/// over [`MAX_ELEMENTS`]. Loaders turn untrusted dims into a count through
+/// this, so hostile dims fail the same way in debug and release builds.
+pub fn checked_numel(shape: &[usize]) -> Option<usize> {
+    shape
+        .iter()
+        .try_fold(1usize, |n, &d| n.checked_mul(d))
+        .filter(|&n| n <= MAX_ELEMENTS)
+}
+
 /// A constant tensor: static shape plus a typed payload.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TensorData {
@@ -28,8 +43,8 @@ impl TensorData {
     /// Construct an f32 tensor, checking that `shape` and `data` agree.
     pub fn f32(shape: Vec<usize>, data: Vec<f32>) -> Self {
         assert_eq!(
-            shape.iter().product::<usize>(),
-            data.len(),
+            checked_numel(&shape),
+            Some(data.len()),
             "f32 tensor shape/data mismatch"
         );
         TensorData {
@@ -41,8 +56,8 @@ impl TensorData {
     /// Construct an i64 tensor, checking that `shape` and `data` agree.
     pub fn i64(shape: Vec<usize>, data: Vec<i64>) -> Self {
         assert_eq!(
-            shape.iter().product::<usize>(),
-            data.len(),
+            checked_numel(&shape),
+            Some(data.len()),
             "i64 tensor shape/data mismatch"
         );
         TensorData {

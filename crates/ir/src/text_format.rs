@@ -23,7 +23,7 @@
 use crate::error::IrError;
 use crate::graph::{Graph, TensorInfo};
 use crate::op::{DType, OpKind, PoolSpec};
-use crate::tensor_data::TensorData;
+use crate::tensor_data::{checked_numel, TensorData, MAX_ELEMENTS};
 use crate::Result;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -462,7 +462,14 @@ pub fn from_text(text: &str) -> Result<Graph> {
                     .ok_or_else(|| err(ln, "init wants a [shape]"))?;
                 let shape = parse_shape(&tail[..=close], ln)?;
                 let payload = tail[close + 1..].trim();
-                let numel: usize = shape.iter().product();
+                let numel = checked_numel(&shape).ok_or_else(|| {
+                    err(
+                        ln,
+                        format!(
+                            "init `{name}` shape {shape:?} holds more than {MAX_ELEMENTS} elements"
+                        ),
+                    )
+                })?;
                 let td = if let Some(rest) = payload.strip_prefix("uniform") {
                     let scale: f32 = rest
                         .trim()
@@ -573,6 +580,20 @@ output t2
         assert_eq!(g.num_nodes(), 3);
         assert_eq!(g.value_info["t2"].shape, vec![1, 4, 1, 1]);
         assert_eq!(g.initializers["b"].as_f32().unwrap(), &[0.0; 4]);
+    }
+
+    #[test]
+    fn hostile_init_dims_are_a_structured_error() {
+        // 2^32 * 2^32 overflows usize: an unchecked product panics in debug
+        // builds and wraps to 0 in release, where the line would parse.
+        let text = "model \"m\"\ninput x f32 [1]\n\
+                    init w f32 [4294967296, 4294967296] uniform 0.05\n\
+                    node r Relu() (x) -> (y)\noutput y\n";
+        let e = from_text(text).unwrap_err().to_string();
+        assert!(e.contains("line 3") && e.contains("elements"), "{e}");
+        // Under the cap but absurd: refused before anything is allocated.
+        let text = text.replace("[4294967296, 4294967296]", "[1048576, 1048576]");
+        assert!(from_text(&text).is_err());
     }
 
     #[test]

@@ -17,7 +17,9 @@
 use crate::proto::{attr_type, data_type, AttributeProto, Dim, ModelProto, NodeProto, TensorProto};
 use crate::{OnnxError, Result};
 use ramiel_ir::tensor_data::Payload;
-use ramiel_ir::{DType, Graph, OpKind, PoolSpec, TensorData, TensorInfo};
+use ramiel_ir::{
+    checked_numel, DType, Graph, OpKind, PoolSpec, TensorData, TensorInfo, MAX_ELEMENTS,
+};
 use ramiel_verify::Severity;
 use std::collections::{BTreeMap, HashSet};
 
@@ -200,7 +202,11 @@ pub(crate) fn tensor_data(t: &TensorProto) -> Result<TensorData> {
         }
         shape.push(d as usize);
     }
-    let numel: usize = shape.iter().product();
+    let numel = checked_numel(&shape).ok_or_else(|| {
+        err(format!(
+            "shape {shape:?} holds more than {MAX_ELEMENTS} elements"
+        ))
+    })?;
     let dtype = dtype_of(t.data_type, "initializer")?;
     let payload = match dtype {
         DType::F32 => {

@@ -4,10 +4,16 @@
 //! substrate.
 //!
 //! - [`exec`] — reference sequential executor (the paper's auto-generated
-//!   single-core code path).
-//! - [`parallel`] — one OS thread per cluster, crossbeam channels for every
-//!   cross-cluster tensor dependence (the paper's Python processes and
-//!   bidirectional queues). Also executes hyperclusters (batch > 1).
+//!   single-core code path), the oracle every other executor must match.
+//! - [`parallel`] — the channel executor: one OS thread per cluster,
+//!   crossbeam channels for every cross-cluster tensor dependence (the
+//!   paper's Python processes and bidirectional queues). Also executes
+//!   hyperclusters (batch > 1). Kept as the paper-faithful reproduction.
+//! - [`stealing`] — the one production runtime: the process-wide
+//!   work-stealing [`StealPool`], with clusters and hyperclusters as
+//!   locality hints. `ramiel-serve` runs every batch on it.
+//! - [`supervisor`] — retry with bounded backoff, then sequential fallback,
+//!   over the channel and stealing executors.
 //! - [`profile`] — the paper's profiling database: per-node times plus the
 //!   *slack* spent blocked in `queue.get()` that motivates hyperclustering.
 //! - [`sim`] — a deterministic discrete-event simulator over a cost model,
@@ -15,11 +21,8 @@
 
 pub mod exec;
 pub mod fault;
-pub mod hyperpool;
 pub mod limits;
-pub mod memory;
 pub mod parallel;
-pub mod pool;
 pub mod predict;
 pub mod profile;
 pub mod reuse;
@@ -29,13 +32,10 @@ pub mod supervisor;
 
 pub use exec::{run_sequential, run_sequential_opts, run_sequential_profiled};
 pub use fault::{Fault, FaultInjector, FaultKind, FaultPlan};
-pub use hyperpool::{HyperPool, PlannedBatch};
-pub use memory::{clustering_peak_memory, sequential_peak_memory, MemoryReport};
 pub use parallel::{
     run_hyper, run_hyper_opts, run_hyper_profiled, run_hyper_profiled_opts, run_parallel,
     run_parallel_opts, run_parallel_profiled, run_parallel_profiled_opts, RunOptions,
 };
-pub use pool::ClusterPool;
 pub use predict::{predict_report, ClusterPrediction, KindPrediction, PredictionReport};
 pub use profile::{OpRecord, ProfileDb, SlackReport, WorkerSpan};
 pub use ramiel_tensor::KernelBackend;
@@ -60,12 +60,7 @@ pub type Env = BTreeMap<String, Value>;
 /// Payload size of a tensor value in bytes (used by channel metering and
 /// the liveness gauge).
 pub fn value_bytes(v: &Value) -> u64 {
-    let elem = match v.dtype() {
-        ramiel_ir::DType::F32 => 4,
-        ramiel_ir::DType::I64 => 8,
-        ramiel_ir::DType::Bool => 1,
-    };
-    v.numel() as u64 * elem
+    (v.numel() * v.dtype().size_bytes()) as u64
 }
 
 /// Bytes actually copied when a `Value` crosses a channel: the enum header

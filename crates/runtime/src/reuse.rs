@@ -1,4 +1,4 @@
-//! Liveness bookkeeping shared by all four executors.
+//! Liveness bookkeeping shared by every executor.
 //!
 //! Each executor (or worker thread) tracks, per environment key, how many
 //! reads remain before the value is dead. Dead values are evicted from the

@@ -65,6 +65,18 @@ impl Default for SupervisorConfig {
     }
 }
 
+impl SupervisorConfig {
+    /// Pause before retry number `retry` (0-based): `backoff_base`
+    /// doubled per retry, saturating at `backoff_max`.
+    pub fn backoff(&self, retry: u32) -> Duration {
+        let mult = 1u32.checked_shl(retry).unwrap_or(u32::MAX);
+        self.backoff_base
+            .checked_mul(mult)
+            .unwrap_or(self.backoff_max)
+            .min(self.backoff_max)
+    }
+}
+
 /// What happened during one supervised run.
 #[derive(Debug, Clone, Default)]
 pub struct RunReport {
@@ -76,14 +88,6 @@ pub struct RunReport {
     pub errors: Vec<RuntimeError>,
     /// Faults the injector actually fired, across all attempts.
     pub faults_fired: Vec<Fault>,
-}
-
-fn backoff_for(cfg: &SupervisorConfig, retry: u32) -> Duration {
-    let mult = 1u32.checked_shl(retry).unwrap_or(u32::MAX);
-    cfg.backoff_base
-        .checked_mul(mult)
-        .unwrap_or(cfg.backoff_max)
-        .min(cfg.backoff_max)
 }
 
 /// Supervised batch-1 parallel run over a clustering.
@@ -250,10 +254,10 @@ fn supervise(
                         "supervisor",
                         serde_json::json!({
                             "error": last_err.as_ref().expect("just set").code(),
-                            "backoff_ms": backoff_for(cfg, retry).as_millis() as u64,
+                            "backoff_ms": cfg.backoff(retry).as_millis() as u64,
                         }),
                     );
-                    std::thread::sleep(backoff_for(cfg, retry));
+                    std::thread::sleep(cfg.backoff(retry));
                 }
             }
         }
@@ -475,10 +479,10 @@ mod tests {
             backoff_max: Duration::from_millis(40),
             ..Default::default()
         };
-        assert_eq!(backoff_for(&cfg, 0), Duration::from_millis(10));
-        assert_eq!(backoff_for(&cfg, 1), Duration::from_millis(20));
-        assert_eq!(backoff_for(&cfg, 2), Duration::from_millis(40));
-        assert_eq!(backoff_for(&cfg, 10), Duration::from_millis(40));
-        assert_eq!(backoff_for(&cfg, 40), Duration::from_millis(40));
+        assert_eq!(cfg.backoff(0), Duration::from_millis(10));
+        assert_eq!(cfg.backoff(1), Duration::from_millis(20));
+        assert_eq!(cfg.backoff(2), Duration::from_millis(40));
+        assert_eq!(cfg.backoff(10), Duration::from_millis(40));
+        assert_eq!(cfg.backoff(40), Duration::from_millis(40));
     }
 }

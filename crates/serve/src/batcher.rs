@@ -5,9 +5,10 @@
 //! condvar) drained by a dedicated collector thread. The collector blocks
 //! for the first request, then coalesces follow-ups until it has
 //! `max_batch` of them or `max_delay` has elapsed since the first —
-//! whichever comes first — and executes the batch as ONE hypercluster job
-//! on a persistent [`HyperPool`] whose workers live as long as the lane.
-//! Per-sample outputs scatter back to per-request one-shot channels.
+//! whichever comes first — and executes the batch as ONE job on the
+//! process-wide work-stealing pool ([`StealPool::global`]), whose workers
+//! are shared by every lane and outlive plans. Per-sample outputs scatter
+//! back to per-request one-shot channels.
 //!
 //! ## State machine (per collector iteration)
 //!
@@ -19,7 +20,7 @@
 //!        ▼                                             │
 //!   drop dead-on-arrival (deadline passed in queue)    │
 //!        ▼                                             │
-//!   run batch on HyperPool ──retry (retryable, ≤N)──┐  │
+//!   run batch on StealPool ──retry (retryable, ≤N)──┐  │
 //!        │                                          │  │
 //!        ├── ok: scatter per-sample outputs ────────┼──┘
 //!        └── still failing: per-request sequential
@@ -32,18 +33,18 @@
 //! already-queued requests complete; new ones are rejected.
 
 use crate::plan::CompiledPlan;
-use crate::server::{LaneConfig, OverflowPolicy, ServeError, ServeExecutor};
+use crate::server::{LaneConfig, OverflowPolicy, ServeError};
 use crate::stats::ServeStats;
 use crate::trace::RequestTrace;
 use crossbeam::channel::Sender;
 use ramiel_obs::{CounterHandle, GaugeHandle, HistHandle, PeakHandle};
-use ramiel_runtime::{run_sequential_opts, Env, HyperPool, RunOptions, RuntimeError, StealPool};
+use ramiel_runtime::{run_sequential_opts, Env, RunOptions, RuntimeError, StealPool};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One queued inference request.
 pub(crate) struct Request {
@@ -61,7 +62,7 @@ pub(crate) struct Request {
 }
 
 /// Per-lane handles into the server's metric registry, resolved once at
-/// lane spawn (label sets are fixed: the lane's model name and executor).
+/// lane spawn (label sets are fixed: the lane's model name).
 /// Every handle is one branch when the registry is disabled.
 pub(crate) struct LaneMetrics {
     queue_wait: HistHandle,
@@ -83,15 +84,11 @@ pub(crate) struct LaneMetrics {
 impl LaneMetrics {
     fn new(cfg: &LaneConfig, model: &str) -> LaneMetrics {
         let m = &cfg.metrics;
-        let exec = match cfg.executor {
-            ServeExecutor::Hyper => "hyper",
-            ServeExecutor::Stealing => "stealing",
-        };
         let phase = |p: &str| {
             m.histogram(
                 "ramiel_request_phase_ns",
                 "per-request phase latency, nanoseconds",
-                &[("model", model), ("executor", exec), ("phase", p)],
+                &[("model", model), ("phase", p)],
             )
         };
         let outcome = |o: &str| {
@@ -109,7 +106,7 @@ impl LaneMetrics {
             latency: m.histogram(
                 "ramiel_request_latency_ns",
                 "end-to-end request latency (enqueue to response), nanoseconds",
-                &[("model", model), ("executor", exec)],
+                &[("model", model)],
             ),
             batch_size: m.histogram(
                 "ramiel_batch_size",
@@ -149,8 +146,7 @@ pub(crate) struct LaneShared {
     /// Set under the queue lock by `shutdown`, read under it by admission
     /// and the collector's exit check.
     draining: AtomicBool,
-    /// Swapped on hot reload; the collector rebuilds its pool when the
-    /// version changes.
+    /// Swapped on hot reload; the collector reads it once per batch.
     plan: parking_lot::Mutex<Arc<CompiledPlan>>,
     cfg: LaneConfig,
     stats: Arc<ServeStats>,
@@ -199,7 +195,7 @@ impl Lane {
     }
 
     /// Drain and stop: reject new work, execute everything queued, join
-    /// the collector (which drops the pool's workers). Idempotent.
+    /// the collector. Idempotent.
     pub fn shutdown(&mut self) {
         {
             let _q = lock(&self.shared.queue);
@@ -346,9 +342,6 @@ impl LaneShared {
 
 /// The collector thread: idle-wait → gather → execute, until drained.
 fn collector(sh: Arc<LaneShared>) {
-    // (plan version, pool): rebuilt whenever a hot reload changes the
-    // version. Kept across batches — that's the whole point.
-    let mut pool: Option<(u64, HyperPool)> = None;
     loop {
         // Idle: block for the first request of the next batch.
         let first = {
@@ -395,16 +388,8 @@ fn collector(sh: Arc<LaneShared>) {
                 .unwrap_or_else(|e| e.into_inner());
             drop(guard);
         }
-        execute_batch(&sh, &mut pool, batch);
+        execute_batch(&sh, batch);
     }
-}
-
-fn bounded_backoff(cfg: &ramiel_runtime::SupervisorConfig, retry: u32) -> Duration {
-    let mult = 1u32.checked_shl(retry).unwrap_or(u32::MAX);
-    cfg.backoff_base
-        .checked_mul(mult)
-        .unwrap_or(cfg.backoff_max)
-        .min(cfg.backoff_max)
 }
 
 fn fail_all(
@@ -422,10 +407,10 @@ fn fail_all(
     }
 }
 
-/// Execute one gathered batch: deadline-filter, (re)build the pool if the
-/// plan changed, run with supervised retries, degrade to per-request
-/// sequential execution if the batch stays poisoned, scatter results.
-fn execute_batch(sh: &LaneShared, pool_slot: &mut Option<(u64, HyperPool)>, batch: Vec<Request>) {
+/// Execute one gathered batch: deadline-filter, run it on the shared steal
+/// pool with supervised retries, degrade to per-request sequential
+/// execution if the batch stays poisoned, scatter results.
+fn execute_batch(sh: &LaneShared, batch: Vec<Request>) {
     let obs = &sh.cfg.obs;
     // Dead-on-arrival filter: reject expired work *before* spending any
     // execution on it.
@@ -459,23 +444,6 @@ fn execute_batch(sh: &LaneShared, pool_slot: &mut Option<(u64, HyperPool)>, batc
         request_ids: Some(Arc::clone(&ids)),
         backend: sh.cfg.backend,
     };
-    let stealing = sh.cfg.executor == ServeExecutor::Stealing;
-    // Hot reload boundary: a version change means new graph/weights, so
-    // the standing workers are rebuilt (old ones join first). The stealing
-    // executor has no per-model workers — its shared pool outlives plans,
-    // and a reload simply compiles a fresh StealPlan.
-    if !stealing && pool_slot.as_ref().map(|(v, _)| *v) != Some(plan.version) {
-        *pool_slot = None;
-        match HyperPool::with_options(&plan.graph, plan.num_clusters(), &plan.ctx, &run_opts) {
-            Ok(p) => *pool_slot = Some((plan.version, p)),
-            Err(e) => {
-                let t = Instant::now();
-                fail_all(sh, live, &ServeError::Runtime(e), t, t);
-                return;
-            }
-        }
-    }
-
     let n = live.len();
     sh.stats.record_batch(n);
     sh.metrics.batches.inc();
@@ -491,52 +459,28 @@ fn execute_batch(sh: &LaneShared, pool_slot: &mut Option<(u64, HyperPool)>, batc
     );
     obs.counter("serve:batch_size", n as f64);
 
-    // Resolve the batch's schedule up front so setup errors fail the whole
-    // batch before any execution: a hypercluster schedule for the pool, or
-    // a dependency-resolved steal plan for the shared stealing pool.
-    enum BatchExec {
-        Hyper(Arc<ramiel_runtime::PlannedBatch>),
-        Stealing(Arc<ramiel_runtime::StealPlan>),
-    }
-    let exec = if stealing {
-        match plan.steal_plan_for(n) {
-            Ok(p) => BatchExec::Stealing(p),
-            Err(e) => {
-                let t = Instant::now();
-                fail_all(sh, live, &e, t, t);
-                return;
-            }
-        }
-    } else {
-        match plan.schedule_for(n) {
-            Ok(s) => BatchExec::Hyper(s),
-            Err(e) => {
-                let t = Instant::now();
-                fail_all(sh, live, &e, t, t);
-                return;
-            }
+    // Resolve the batch's steal plan up front so setup errors fail the
+    // whole batch before any execution. A hot-reloaded plan simply brings
+    // its own steal plans; the shared pool outlives plans.
+    let splan = match plan.steal_plan_for(n) {
+        Ok(p) => p,
+        Err(e) => {
+            let t = Instant::now();
+            fail_all(sh, live, &e, t, t);
+            return;
         }
     };
-    let inputs: Arc<Vec<Env>> = Arc::new(live.iter().map(|r| r.inputs.clone()).collect());
+    let inputs: Vec<Env> = live.iter().map(|r| r.inputs.clone()).collect();
 
-    // Supervised execution on the standing pool: retry transient-shaped
-    // failures with bounded backoff (both pools survive failed jobs). The
+    // Supervised execution on the shared pool: retry transient-shaped
+    // failures with bounded backoff (the pool survives failed jobs). The
     // execution window charged to each request spans the whole retry loop
     // (backoff sleeps included) — that is the latency callers actually saw.
     let sup = &sh.cfg.supervisor;
     let mut attempt = 0u32;
     let exec_start = Instant::now();
     let result: Result<Vec<Env>, RuntimeError> = loop {
-        let attempt_result = match &exec {
-            BatchExec::Hyper(sched) => {
-                let (_, pool) = pool_slot.as_mut().expect("hyper pool built above");
-                pool.run_batch(sched, &inputs)
-            }
-            BatchExec::Stealing(splan) => {
-                StealPool::global().run_plan(splan, &inputs, &plan.ctx, &run_opts)
-            }
-        };
-        match attempt_result {
+        match StealPool::global().run_plan(&splan, &inputs, &plan.ctx, &run_opts) {
             Ok(outs) => break Ok(outs),
             Err(e) => {
                 if !e.is_retryable() || attempt >= sup.max_retries {
@@ -549,7 +493,7 @@ fn execute_batch(sh: &LaneShared, pool_slot: &mut Option<(u64, HyperPool)>, batc
                     "serve",
                     serde_json::json!({ "model": plan.name, "error": e.code() }),
                 );
-                std::thread::sleep(bounded_backoff(sup, attempt));
+                std::thread::sleep(sup.backoff(attempt));
                 attempt += 1;
             }
         }

@@ -3,19 +3,20 @@
 //! Multi-model serving layer over the Ramiel runtime — the piece that turns
 //! the paper's hyperclustering (batch > 1 filling cross-cluster
 //! communication slack) into a *throughput* feature instead of a
-//! compile-time constant.
+//! compile-time constant. Every batch runs on the one production runtime,
+//! the process-wide work-stealing pool; clusters and hyperclusters are its
+//! locality hints.
 //!
 //! - [`plan`] — model registry + plan cache: [`Server::load`] compiles a
-//!   model once (clustering, hypercluster schedules at several batch sizes,
+//!   model once (clustering, work-stealing plans at several batch sizes,
 //!   packed-weight cache, shared initializer table) into an
 //!   `Arc<CompiledPlan>` shared by every request, LRU-bounded, versioned
 //!   for hot reload.
 //! - [`batcher`] — per-model dynamic micro-batcher: a bounded submission
 //!   queue drained by a collector thread that coalesces up to `max_batch`
-//!   requests (or a `max_delay` timeout, whichever first) into one
-//!   hypercluster execution on a persistent
-//!   [`ramiel_runtime::HyperPool`], then scatters per-sample outputs back
-//!   to per-request one-shot channels.
+//!   requests (or a `max_delay` timeout, whichever first) into one job on
+//!   [`ramiel_runtime::StealPool::global`], then scatters per-sample
+//!   outputs back to per-request one-shot channels.
 //! - [`server`] — the in-process [`Server`] API: admission control
 //!   (bounded queues, shed-vs-backpressure policy, per-request deadlines),
 //!   supervised execution (retry → per-request sequential fallback, so a
@@ -43,7 +44,7 @@ mod tests;
 
 pub use plan::{CompiledPlan, PlanCache, PlanSpec};
 pub use registry::{ManifestEntry, Pulled, Registry, RegistryError};
-pub use server::{OverflowPolicy, ServeConfig, ServeError, ServeExecutor, Server, Ticket};
+pub use server::{OverflowPolicy, ServeConfig, ServeError, Server, Ticket};
 pub use stats::{BatchBucket, ServeStats, StatsSnapshot};
 pub use tcp::{run_tcp, run_tcp_with_registry};
 pub use trace::{RequestTrace, TraceRing};

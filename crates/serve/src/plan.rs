@@ -1,20 +1,19 @@
 //! Model registry and plan cache.
 //!
 //! `load()` pays every per-model cost exactly once — clustering,
-//! hypercluster schedules (plus routing tables) at the batch sizes the
-//! micro-batcher will actually hit, the shared initializer table, and a
-//! per-plan [`ExecCtx`] whose packed-weight cache persists across requests
-//! — and shares the result as an [`Arc<CompiledPlan>`]. The cache is
-//! LRU-bounded ([`PlanCache::new`]) and every (re)load gets a fresh
-//! monotonically increasing `version`, which is how lanes detect hot
-//! reloads: a collector thread compares its pool's version against the
-//! plan's and rebuilds workers when they diverge.
+//! work-stealing plans at the batch sizes the micro-batcher will actually
+//! hit, the shared initializer table, and a per-plan [`ExecCtx`] whose
+//! packed-weight cache persists across requests — and shares the result
+//! as an [`Arc<CompiledPlan>`]. The cache is LRU-bounded
+//! ([`PlanCache::new`]) and every (re)load gets a fresh monotonically
+//! increasing `version`, which is how a hot swap is observed: lanes pick
+//! up the new plan at the next batch boundary.
 
 use crate::server::ServeError;
 use parking_lot::Mutex;
 use ramiel_cluster::{cluster_graph, hypercluster, switched_hypercluster, Clustering, StaticCost};
 use ramiel_ir::Graph;
-use ramiel_runtime::{PlannedBatch, StealPlan};
+use ramiel_runtime::StealPlan;
 use ramiel_tensor::{ExecCtx, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,10 +28,11 @@ pub struct PlanSpec {
     /// `None` → LC+merge clustering under [`StaticCost`].
     pub clustering: Option<Clustering>,
     /// Use switched (Fig. 9) instead of plain (Fig. 8) hyperclustering for
-    /// batch > 1 schedules.
+    /// the locality hints of batch > 1 steal plans.
     pub switched: bool,
-    /// Batch sizes to pre-plan at load time. Batch 1 is always included;
-    /// other sizes the batcher reaches are planned lazily on first use.
+    /// Batch sizes whose steal plans are built at load time. Batch 1 is
+    /// always included; other sizes the batcher reaches are planned lazily
+    /// on first use.
     pub batch_sizes: Vec<usize>,
     /// Pre-converted weights to share (e.g. from `ramiel::prepare`);
     /// `None` → converted once at load.
@@ -65,10 +65,7 @@ pub struct CompiledPlan {
     /// Per-plan execution context: its packed-weight cache warms up on the
     /// first request and is reused by every later one (clones share it).
     pub ctx: ExecCtx,
-    /// Hypercluster schedules + routing tables, keyed by batch size.
-    schedules: Mutex<BTreeMap<usize, Arc<PlannedBatch>>>,
-    /// Work-stealing plans, keyed by batch size (built lazily — only lanes
-    /// running [`crate::server::ServeExecutor::Stealing`] pay for them).
+    /// Work-stealing plans, keyed by batch size.
     steal_plans: Mutex<BTreeMap<usize, Arc<StealPlan>>>,
 }
 
@@ -115,41 +112,20 @@ impl CompiledPlan {
             switched,
             init_values,
             ctx,
-            schedules: Mutex::new(BTreeMap::new()),
             steal_plans: Mutex::new(BTreeMap::new()),
         };
         let mut sizes = batch_sizes;
         sizes.push(1);
         for b in sizes {
-            plan.schedule_for(b)?;
+            plan.steal_plan_for(b)?;
         }
         Ok(plan)
     }
 
-    /// The schedule (plus routing table) for `batch` samples — precompiled
-    /// at load for the spec'd sizes, planned lazily (then cached) for any
-    /// other size the micro-batcher manages to collect.
-    pub fn schedule_for(&self, batch: usize) -> Result<Arc<PlannedBatch>, ServeError> {
-        if batch == 0 {
-            return Err(ServeError::Internal("batch size 0".into()));
-        }
-        let mut schedules = self.schedules.lock();
-        if let Some(p) = schedules.get(&batch) {
-            return Ok(Arc::clone(p));
-        }
-        let hc = if self.switched {
-            switched_hypercluster(&self.clustering, batch)
-        } else {
-            hypercluster(&self.clustering, batch)
-        };
-        let planned = Arc::new(PlannedBatch::new(&self.graph, hc).map_err(ServeError::Runtime)?);
-        schedules.insert(batch, Arc::clone(&planned));
-        Ok(planned)
-    }
-
-    /// The work-stealing plan for `batch` samples (built on first use, then
-    /// cached). Hints come from the same hyperclustering the hyper path
-    /// would schedule, so locality placement matches across executors.
+    /// The work-stealing plan for `batch` samples — built at load for the
+    /// spec'd sizes, built lazily (then cached) for any other size the
+    /// micro-batcher manages to collect. Locality hints for batch > 1 come
+    /// from the plan's (plain or switched) hyperclustering.
     pub fn steal_plan_for(&self, batch: usize) -> Result<Arc<StealPlan>, ServeError> {
         if batch == 0 {
             return Err(ServeError::Internal("batch size 0".into()));
@@ -174,14 +150,9 @@ impl CompiledPlan {
         Ok(plan)
     }
 
-    /// Cluster count == standing worker count for this plan's pools.
-    pub fn num_clusters(&self) -> usize {
-        self.clustering.num_clusters()
-    }
-
-    /// Batch sizes with a planned schedule (load-time + lazily added).
+    /// Batch sizes with a built steal plan (load-time + lazily added).
     pub fn planned_batches(&self) -> Vec<usize> {
-        self.schedules.lock().keys().copied().collect()
+        self.steal_plans.lock().keys().copied().collect()
     }
 }
 

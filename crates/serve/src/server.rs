@@ -25,22 +25,10 @@ pub enum OverflowPolicy {
     Block { max_wait: Duration },
 }
 
-/// Which executor a lane uses for gathered batches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServeExecutor {
-    /// Standing per-model [`ramiel_runtime::HyperPool`] (one worker per
-    /// cluster, channel dataflow). The default.
-    #[default]
-    Hyper,
-    /// Shared work-stealing pool ([`ramiel_runtime::StealPool::global`]):
-    /// clusters become locality hints, workers are shared across models.
-    Stealing,
-}
-
 /// Serving policy knobs.
 #[derive(Clone)]
 pub struct ServeConfig {
-    /// Most requests one hypercluster execution may coalesce.
+    /// Most requests one batch execution may coalesce.
     pub max_batch: usize,
     /// Longest the collector waits after a batch's first request before
     /// executing whatever it has.
@@ -55,16 +43,15 @@ pub struct ServeConfig {
     pub intra_op: usize,
     /// Retry/backoff/fallback policy for batch execution.
     pub supervisor: SupervisorConfig,
-    /// Worker recv timeout; `None` uses `RAMIEL_RECV_TIMEOUT_MS` or 30s.
+    /// Deadline for one batch's steal job on the shared pool: a job still
+    /// running after it fails with `RT-TIMEOUT` (then retry/fallback per
+    /// `supervisor`). `None` uses `RAMIEL_RECV_TIMEOUT_MS` or 30s.
     pub recv_timeout: Option<Duration>,
     /// Fault injection shared by every lane (chaos tests).
     pub injector: Option<Arc<FaultInjector>>,
     /// Observability sink: batch/retry/fallback instants plus queue-depth
     /// and batch-size counters (disabled handle = one branch per event).
     pub obs: Obs,
-    /// Batch executor: per-model hyper pool (default) or the shared
-    /// work-stealing pool.
-    pub executor: ServeExecutor,
     /// Metric registry for per-model labeled series (latency/phase
     /// histograms, outcome counters, depth gauges), rendered by the TCP
     /// `metrics` verb. Enabled by default; a disabled registry reduces
@@ -93,7 +80,6 @@ impl Default for ServeConfig {
             recv_timeout: None,
             injector: None,
             obs: Obs::disabled(),
-            executor: ServeExecutor::default(),
             metrics: Metrics::enabled(),
             trace_capacity: 4096,
             backend: None,
@@ -113,7 +99,6 @@ pub(crate) struct LaneConfig {
     pub recv_timeout: Option<Duration>,
     pub injector: Option<Arc<FaultInjector>>,
     pub obs: Obs,
-    pub executor: ServeExecutor,
     pub metrics: Metrics,
     pub backend: Option<ramiel_runtime::KernelBackend>,
     /// Server-wide trace ring shared by every lane (`None` = disabled).
@@ -133,7 +118,6 @@ impl ServeConfig {
             recv_timeout: self.recv_timeout,
             injector: self.injector.clone(),
             obs: self.obs.clone(),
-            executor: self.executor,
             metrics: self.metrics.clone(),
             backend: self.backend,
             trace,
@@ -414,7 +398,7 @@ impl Server {
     }
 
     /// Graceful drain: reject new submissions, execute everything already
-    /// admitted, stop every lane's workers. Idempotent; also runs on drop.
+    /// admitted, stop every lane's collector. Idempotent; also runs on drop.
     pub fn shutdown(&self) {
         self.shutting_down.store(true, Ordering::SeqCst);
         let drained: Vec<Lane> = {

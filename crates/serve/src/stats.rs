@@ -28,7 +28,7 @@ pub struct ServeStats {
     pub batches: AtomicU64,
     /// Requests carried by those batches (mean batch = this / batches).
     pub batched_requests: AtomicU64,
-    /// Batch retries on the standing pool.
+    /// Batch retries on the shared steal pool.
     pub retries: AtomicU64,
     /// Batches that degraded to per-request sequential execution.
     pub fallbacks: AtomicU64,

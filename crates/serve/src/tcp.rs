@@ -146,7 +146,7 @@ pub fn run_tcp_with_registry(
         if stop.load(Ordering::SeqCst) {
             break;
         }
-        let stream = match stream {
+        let stream = match stream.and_then(setup_conn) {
             Ok(s) => s,
             Err(_) => continue,
         };
@@ -168,6 +168,14 @@ pub fn run_tcp_with_registry(
             .expect("spawn connection thread");
     }
     Ok(())
+}
+
+/// Per-connection socket setup for an accepted stream. Disables Nagle's
+/// algorithm: without it a pipelined second response waits (~40 ms) for
+/// the client's delayed ACK of the first.
+pub(crate) fn setup_conn(stream: TcpStream) -> std::io::Result<TcpStream> {
+    stream.set_nodelay(true)?;
+    Ok(stream)
 }
 
 /// Serve one connection; returns true if the client requested shutdown.

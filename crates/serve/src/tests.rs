@@ -156,6 +156,18 @@ fn shed_policy_reports_queue_full() {
 }
 
 #[test]
+fn accepted_connections_disable_nagle() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+    let (accepted, _) = listener.accept().unwrap();
+    let stream = crate::tcp::setup_conn(accepted).unwrap();
+    assert!(
+        stream.nodelay().unwrap(),
+        "accepted stream still runs Nagle"
+    );
+}
+
+#[test]
 fn tcp_round_trip_ping_infer_stats_shutdown() {
     let g = synthetic::fork_join(2, 2, 2);
     let server = Arc::new(Server::new(small_cfg()));

@@ -15,6 +15,12 @@ cargo clippy --all-targets --offline -- -D warnings
 echo "==> cargo test"
 cargo test --offline
 
+# Hostile-dims probe in release: with overflow checks off, an unchecked
+# element count wraps instead of panicking, so this is the mode where a
+# model whose dims multiply past usize used to import as OK.
+echo "==> overflow probe (release)"
+cargo test --release --offline -p ramiel-onnx --test overflow_probe
+
 # Liveness gate: the differential + chaos suites exercise every executor's
 # failure paths (worker panics, dropped messages, timeouts). Their contract
 # is bounded termination, so a hang IS the regression — run them again
@@ -39,7 +45,7 @@ RAMIEL_CONFORMANCE_CASES="${RAMIEL_CONFORMANCE_CASES:-250}" \
 
 # Kernel-backend conformance gate. The f32 SIMD backend is covered by the
 # differential suite above (it is bit-identical to scalar by construction,
-# so the 6-executor matrix exercises it unchanged); the i8 quantized
+# so the differential matrix exercises it unchanged); the i8 quantized
 # backend has a different contract — tolerance-close to f32, bit-identical
 # *across executors* — pinned by its own suite on all 8 model generators.
 # Same hard timeout discipline: a wedged executor under QuantI8 is a
@@ -48,8 +54,8 @@ echo "==> quant backend conformance gate (8 models x executors)"
 timeout --kill-after=30s 600s \
     cargo test --offline -p ramiel --test quant_conformance
 
-# Observability smoke: `ramiel profile` runs the model on all four executors
-# and validates the merged Chrome/Perfetto trace before writing it — a
+# Observability smoke: `ramiel profile` runs the model on the sequential,
+# channel and hypercluster executors and validates the merged Chrome/Perfetto trace before writing it — a
 # malformed trace (or any executor divergence) is a failing exit code. Same
 # hard timeout discipline as the chaos gate.
 echo "==> ramiel profile smoke (trace validity gate)"
@@ -73,7 +79,9 @@ grep -q "peak memory:" target/ci-analyze.log
 # with `ramiel request` — ping, a handful of batched inferences, a stats
 # snapshot, the telemetry verbs, and a graceful shutdown. The `metrics` op
 # must return Prometheus exposition carrying the per-request latency
-# histograms and the steal-pool counters; the `trace` op's Chrome trace is
+# histograms and the steal-pool counters, and since every served batch
+# runs on the steal pool those counters must show executed tasks; the
+# `trace` op's Chrome trace is
 # validated client-side (the CLI exits nonzero on a malformed trace); and
 # one frame of `ramiel top` must render from the same endpoint. The server
 # process must exit 0 on its own after the shutdown op (drain, not kill),
@@ -100,6 +108,9 @@ timeout 60s target/debug/ramiel request --port "$SERVE_PORT" \
     --op metrics > target/serve-metrics.txt
 grep -q "ramiel_request_latency_ns_bucket" target/serve-metrics.txt
 grep -q "ramiel_steal_tasks_total" target/serve-metrics.txt
+STEAL_TASKS=$(awk '/^ramiel_steal_tasks_total/ { n += $NF } END { print n + 0 }' \
+    target/serve-metrics.txt)
+test "$STEAL_TASKS" -gt 0 || { echo "serve ran no tasks on the steal pool"; exit 1; }
 timeout 60s target/debug/ramiel request --port "$SERVE_PORT" \
     --op trace > target/serve-trace.json
 timeout 60s target/debug/ramiel top --port "$SERVE_PORT" --frames 1

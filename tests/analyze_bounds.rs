@@ -6,9 +6,10 @@
 //! 1. For every built-in model and every executor, the measured high-water
 //!    mark of an allocation-tracking [`MemGauge`] never exceeds
 //!    `estimate_memory`'s static bound — when the analysis view matches the
-//!    executor's real replay policy (in-order for the sequential walk and
-//!    `ClusterPool`, first-ready for `run_parallel` / `run_hyper` /
-//!    `HyperPool`, whose workers may legally reorder around a blocked op).
+//!    executor's real replay policy (in-order for the sequential walk,
+//!    first-ready for `run_parallel` / `run_hyper`, whose workers may
+//!    legally reorder around a blocked op, and the estimate-only view for
+//!    work stealing).
 //! 2. Running with `reuse: false` (no in-place rewriting, no eviction) is
 //!    bit-identical to the default `reuse: true` path on every executor:
 //!    in-place kernels write the same values the allocating kernels do.
@@ -21,8 +22,8 @@ use ramiel_cluster::{
 use ramiel_models::{build, ModelConfig, ModelKind};
 use ramiel_runtime::{
     run_hyper, run_hyper_opts, run_hyper_stealing_opts, run_parallel, run_parallel_opts,
-    run_sequential, run_sequential_opts, run_stealing, run_stealing_opts, synth_inputs,
-    ClusterPool, Env, HyperPool, PlannedBatch, RunOptions,
+    run_sequential, run_sequential_opts, run_stealing, run_stealing_opts, synth_inputs, Env,
+    RunOptions,
 };
 use ramiel_tensor::{ExecCtx, MemGauge, Value};
 use ramiel_verify::{ExecPolicy, ScheduleView};
@@ -47,7 +48,7 @@ fn assert_bound(model: &str, executor: &str, estimate: u64, gauge: &MemGauge) {
     );
 }
 
-/// Contract 1 over the whole 8-model × 5-executor matrix.
+/// Contract 1 over the whole 8-model × 6-executor matrix.
 #[test]
 fn estimate_upper_bounds_measured_peak_on_every_executor() {
     let cfg = ModelConfig::tiny();
@@ -73,16 +74,6 @@ fn estimate_upper_bounds_measured_peak_on_every_executor() {
         run_parallel(&g, &clustering, &inputs, &ctx).unwrap();
         assert_bound(model, "parallel", est.peak_bytes, &gauge);
 
-        // ClusterPool: strict in-order per job
-        let view = clustering_view(&clustering);
-        let (est, _) = estimate_memory(&g, &view);
-        let (gauge, ctx) = gauge_ctx();
-        let mut pool = ClusterPool::new(&g, &clustering, &ctx).unwrap();
-        pool.run(&inputs).unwrap();
-        pool.run(&synth_inputs(&g, 43)).unwrap();
-        drop(pool);
-        assert_bound(model, "pool", est.peak_bytes, &gauge);
-
         // work stealing: no static schedule, so the bound comes from the
         // estimate-only stealing view (first-ready resident sum — sound for
         // any interleaving the pool picks)
@@ -104,15 +95,6 @@ fn estimate_upper_bounds_measured_peak_on_every_executor() {
             let (gauge, ctx) = gauge_ctx();
             run_hyper(&g, &hc, &batch_inputs, &ctx).unwrap();
             assert_bound(model, label, est.peak_bytes, &gauge);
-
-            let (gauge, ctx) = gauge_ctx();
-            let mut hpool = HyperPool::new(&g, hc.hyperclusters.len(), &ctx).unwrap();
-            let plan = Arc::new(PlannedBatch::new(&g, hc).unwrap());
-            hpool
-                .run_batch(&plan, &Arc::new(batch_inputs.clone()))
-                .unwrap();
-            drop(hpool);
-            assert_bound(model, &format!("{label}-pool"), est.peak_bytes, &gauge);
         }
 
         // batched stealing under the batch-4 estimate-only view
@@ -187,10 +169,6 @@ fn in_place_reuse_is_bit_identical_on_every_executor() {
             let par = run_parallel_opts(&g, &clustering, &inputs, &ctx, opts).unwrap();
             assert_bits(&base, &par, model, &format!("parallel[reuse={tag}]"));
 
-            let mut pool = ClusterPool::with_options(&g, &clustering, &ctx, opts).unwrap();
-            let pooled = pool.run(&inputs).unwrap();
-            assert_bits(&base, &pooled, model, &format!("pool[reuse={tag}]"));
-
             let stolen = run_stealing_opts(&g, &clustering, &inputs, &ctx, opts).unwrap();
             assert_bits(&base, &stolen, model, &format!("stealing[reuse={tag}]"));
         }
@@ -209,21 +187,6 @@ fn in_place_reuse_is_bit_identical_on_every_executor() {
                     out,
                     model,
                     &format!("hyper[reuse={tag}] b{b}"),
-                );
-            }
-
-            let mut hpool =
-                HyperPool::with_options(&g, hc.hyperclusters.len(), &ctx, opts).unwrap();
-            let plan = Arc::new(PlannedBatch::new(&g, hc.clone()).unwrap());
-            let outs = hpool
-                .run_batch(&plan, &Arc::new(batch_inputs.clone()))
-                .unwrap();
-            for (b, out) in outs.iter().enumerate() {
-                assert_bits(
-                    &baseline[b],
-                    out,
-                    model,
-                    &format!("hyper-pool[reuse={tag}] b{b}"),
                 );
             }
 

@@ -1,8 +1,8 @@
 //! Cross-executor differential conformance suite.
 //!
 //! Every executor the runtime offers — reference sequential, one-thread-
-//! per-cluster parallel, the standing [`ClusterPool`], the hyperclustered
-//! batch executor (plain and switched), and the work-stealing pool — must
+//! per-cluster parallel, the hyperclustered batch executor (plain and
+//! switched), and the work-stealing pool — must
 //! compute the same function, on every built-in model generator, at batch 1
 //! and batch 4. Divergence messages name the model, the executor, the batch
 //! element, and the *first diverging tensor* with its worst elementwise
@@ -11,8 +11,7 @@
 use ramiel_cluster::{cluster_graph, hypercluster, switched_hypercluster, StaticCost};
 use ramiel_models::{build, ModelConfig, ModelKind};
 use ramiel_runtime::{
-    run_hyper, run_hyper_stealing, run_parallel, run_sequential, run_stealing, synth_inputs,
-    ClusterPool, Env,
+    run_hyper, run_hyper_stealing, run_parallel, run_sequential, run_stealing, synth_inputs, Env,
 };
 use ramiel_tensor::{ExecCtx, Value};
 
@@ -90,8 +89,6 @@ fn all_executors_conform_on_all_models() {
         let model = kind.name();
         let g = build(kind, &cfg);
         let clustering = cluster_graph(&g, &StaticCost);
-        let mut pool = ClusterPool::new(&g, &clustering, &ctx)
-            .unwrap_or_else(|e| panic!("{model}: pool setup: {e}"));
         for batch in [1usize, 4] {
             let inputs: Vec<Env> = (0..batch)
                 .map(|b| synth_inputs(&g, 1000 * b as u64 + 17))
@@ -109,10 +106,6 @@ fn all_executors_conform_on_all_models() {
                 let par = run_parallel(&g, &clustering, inp, &ctx)
                     .unwrap_or_else(|e| panic!("{model}: parallel b{batch}: {e}"));
                 assert_conforms(&baseline[b], &par, model, "parallel", b);
-                let pooled = pool
-                    .run(inp)
-                    .unwrap_or_else(|e| panic!("{model}: pool b{batch}: {e}"));
-                assert_conforms(&baseline[b], &pooled, model, "pool", b);
                 let stolen = run_stealing(&g, &clustering, inp, &ctx)
                     .unwrap_or_else(|e| panic!("{model}: stealing b{batch}: {e}"));
                 assert_conforms(&baseline[b], &stolen, model, "stealing", b);
@@ -198,12 +191,10 @@ fn executors_are_bit_identical_with_shared_kernels() {
             .map(|inp| run_sequential(&g, inp, &ctx).unwrap())
             .collect();
 
-        let mut pool = ClusterPool::new(&g, &clustering, &ctx).unwrap();
         for (b, inp) in inputs.iter().enumerate() {
             let par = run_parallel(&g, &clustering, inp, &ctx).unwrap();
-            let pooled = pool.run(inp).unwrap();
             let stolen = run_stealing(&g, &clustering, inp, &ctx).unwrap();
-            for (label, out) in [("parallel", &par), ("pool", &pooled), ("stealing", &stolen)] {
+            for (label, out) in [("parallel", &par), ("stealing", &stolen)] {
                 if let Some((tensor, why)) = first_bit_divergence(&baseline[b], out) {
                     panic!(
                         "{model}: `{label}` not bit-identical on element {b}: `{tensor}`: {why}"
@@ -256,8 +247,6 @@ fn executors_agree_on_kernel_failures() {
 
     let seq = run_sequential(&g, &inputs, &ctx).unwrap_err();
     let par = run_parallel(&g, &clustering, &inputs, &ctx).unwrap_err();
-    let mut pool = ClusterPool::new(&g, &clustering, &ctx).unwrap();
-    let pooled = pool.run(&inputs).unwrap_err();
     let hc = hypercluster(&clustering, 2);
     let hyper = run_hyper(&g, &hc, &[inputs.clone(), inputs.clone()], &ctx).unwrap_err();
     let stolen = run_stealing(&g, &clustering, &inputs, &ctx).unwrap_err();
@@ -265,7 +254,6 @@ fn executors_agree_on_kernel_failures() {
     for (label, err) in [
         ("sequential", &seq),
         ("parallel", &par),
-        ("pool", &pooled),
         ("hyper", &hyper),
         ("stealing", &stolen),
     ] {

@@ -104,21 +104,19 @@ proptest! {
     }
 }
 
-/// Golden path: compile stages + all four executors merged onto one trace.
+/// Golden path: compile stages + the sequential, channel and hypercluster
+/// executors merged onto one trace.
 #[test]
 fn full_profile_trace_parses_and_references_valid_tracks() {
     use ramiel::models::{build, ModelConfig, ModelKind};
     use ramiel::{compile_with_obs, PipelineOptions};
-    use ramiel_runtime::{
-        run_parallel_profiled_opts, run_sequential_profiled, ClusterPool, RunOptions,
-    };
+    use ramiel_runtime::{run_parallel_profiled_opts, run_sequential_profiled, RunOptions};
 
     let obs = Obs::enabled();
     obs.with_pid(1).name_process("compile pipeline");
     obs.with_pid(2).name_process("sequential executor");
     obs.with_pid(3).name_process("parallel executor");
     obs.with_pid(4).name_process("hypercluster executor");
-    obs.with_pid(5).name_process("cluster pool");
 
     let g = build(ModelKind::Squeezenet, &ModelConfig::tiny());
     let c = compile_with_obs(g, &PipelineOptions::default(), &obs.with_pid(1)).unwrap();
@@ -156,24 +154,13 @@ fn full_profile_trace_parses_and_references_valid_tracks() {
     .unwrap();
     hyper_db.export_to_obs(&obs.with_pid(4), &c.graph);
 
-    let mut pool = ClusterPool::with_options(
-        &c.graph,
-        &c.clustering,
-        &ctx,
-        &RunOptions::default().obs(obs.with_pid(5)),
-    )
-    .unwrap();
-    let (_, pool_db) = pool.run_profiled(&inputs).unwrap();
-    pool_db.export_to_obs(&obs.with_pid(5), &c.graph);
-    drop(pool);
-
     let trace = obs.to_chrome_trace();
     let stats = validate_chrome_trace(&trace).expect("merged trace validates");
     assert!(stats.complete_spans > 0, "no spans in trace");
     assert!(stats.metadata > 0, "no track metadata in trace");
     assert!(
-        stats.named_processes >= 5,
-        "expected all five processes named, got {}",
+        stats.named_processes >= 4,
+        "expected all four processes named, got {}",
         stats.named_processes
     );
 

@@ -5,7 +5,7 @@
 use ramiel::{prepare, PipelineOptions};
 use ramiel_models::{build, synthetic, ModelConfig, ModelKind};
 use ramiel_runtime::{run_sequential, synth_inputs};
-use ramiel_serve::{OverflowPolicy, PlanSpec, ServeConfig, ServeExecutor, Server, Ticket};
+use ramiel_serve::{OverflowPolicy, PlanSpec, ServeConfig, Server, Ticket};
 use ramiel_tensor::ExecCtx;
 use std::sync::Arc;
 use std::time::Duration;
@@ -32,7 +32,9 @@ fn concurrent_clients_get_bit_identical_results() {
         init_values: Some(Arc::clone(&prepared.init_values)),
         ..PlanSpec::new(prepared.compiled.graph.clone())
     };
-    server.load("sq", spec).unwrap();
+    let plan = server.load("sq", spec).unwrap();
+    // Load precompiles a steal plan for batch 1 plus every spec'd size.
+    assert_eq!(plan.planned_batches(), vec![1, 2, 4]);
 
     let graph = Arc::new(prepared.compiled.graph.clone());
     let threads = 8;
@@ -75,17 +77,15 @@ fn concurrent_clients_get_bit_identical_results() {
     assert!(s.peak_queue_depth >= 1);
 }
 
-/// The same acceptance contract on the work-stealing lane executor: hot
-/// batches of every size the micro-batcher forms run on the shared
-/// stealing pool and stay bit-identical to sequential.
+/// The same acceptance contract on BERT with no precompiled batch sizes:
+/// batches of every size the micro-batcher forms get a lazily built steal
+/// plan, run on the shared stealing pool and stay bit-identical to
+/// sequential.
 #[test]
 fn stealing_executor_serves_bit_identical_results() {
     let g = build(ModelKind::Bert, &ModelConfig::tiny());
     let prepared = prepare(g, &PipelineOptions::default()).unwrap();
-    let server = Arc::new(Server::new(ServeConfig {
-        executor: ServeExecutor::Stealing,
-        ..serve_cfg()
-    }));
+    let server = Arc::new(Server::new(serve_cfg()));
     let spec = PlanSpec {
         clustering: Some(prepared.compiled.clustering.clone()),
         init_values: Some(Arc::clone(&prepared.init_values)),

@@ -10,7 +10,7 @@
 
 use ramiel_models::{build, ModelConfig, ModelKind};
 use ramiel_runtime::{run_sequential, synth_inputs, FaultInjector, FaultPlan, SupervisorConfig};
-use ramiel_serve::{PlanSpec, ServeConfig, ServeError, ServeExecutor, Server};
+use ramiel_serve::{PlanSpec, ServeConfig, ServeError, Server};
 use ramiel_tensor::ExecCtx;
 use std::sync::Arc;
 use std::time::Duration;
@@ -35,12 +35,7 @@ fn quiet_injected_panics() {
     });
 }
 
-fn chaos_server_with(
-    g: &ramiel_ir::Graph,
-    fseed: u64,
-    nfaults: usize,
-    executor: ServeExecutor,
-) -> Server {
+fn chaos_server(g: &ramiel_ir::Graph, fseed: u64, nfaults: usize) -> Server {
     let plan = FaultPlan::random(fseed, g.num_nodes(), 1, nfaults);
     Server::new(ServeConfig {
         max_batch: 4,
@@ -52,16 +47,11 @@ fn chaos_server_with(
             fallback: true,
             ..Default::default()
         },
-        // Bounded: a dropped cross-cluster message must surface RT-TIMEOUT
-        // quickly instead of stalling the lane.
+        // Bounded: an injected stall must surface RT-TIMEOUT quickly
+        // instead of stalling the lane.
         recv_timeout: Some(Duration::from_millis(500)),
-        executor,
         ..ServeConfig::default()
     })
-}
-
-fn chaos_server(g: &ramiel_ir::Graph, fseed: u64, nfaults: usize) -> Server {
-    chaos_server_with(g, fseed, nfaults, ServeExecutor::Hyper)
 }
 
 #[test]
@@ -146,7 +136,7 @@ fn stealing_server_recovers_after_fault_storm() {
     let g = build(ModelKind::Googlenet, &ModelConfig::tiny());
     let baseline_ctx = ExecCtx::sequential();
     for fseed in [5u64, 23] {
-        let server = Arc::new(chaos_server_with(&g, fseed, 4, ServeExecutor::Stealing));
+        let server = Arc::new(chaos_server(&g, fseed, 4));
         server.load("gn", PlanSpec::new(g.clone())).unwrap();
 
         let mut handles = Vec::new();
