@@ -13,8 +13,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ramiel::{compile, PipelineOptions};
 use ramiel_models::{build, ModelConfig, ModelKind};
 use ramiel_runtime::{
-    run_parallel, run_parallel_opts, run_sequential, run_sequential_opts, run_supervised,
-    synth_inputs, FaultInjector, FaultPlan, RunOptions, SupervisorConfig,
+    run_parallel_opts, run_sequential, run_sequential_opts, run_supervised, synth_inputs, Executor,
+    FaultInjector, FaultPlan, RunOptions, SupervisorConfig,
 };
 use ramiel_tensor::ExecCtx;
 use std::hint::black_box;
@@ -53,11 +53,12 @@ fn bench_parallel_overhead(c: &mut Criterion) {
     let ctx = ExecCtx::sequential();
     group.bench_function(BenchmarkId::from_parameter("baseline"), |b| {
         b.iter(|| {
-            run_parallel(
+            run_parallel_opts(
                 black_box(&compiled.graph),
                 &compiled.clustering,
                 &inputs,
                 &ctx,
+                &RunOptions::default(),
             )
             .expect("par")
         });
@@ -76,14 +77,17 @@ fn bench_parallel_overhead(c: &mut Criterion) {
         });
     });
     let cfg = SupervisorConfig::default();
+    let hc = ramiel_cluster::hypercluster(&compiled.clustering, 1);
+    let batch = [inputs.clone()];
     group.bench_function(BenchmarkId::from_parameter("supervised"), |b| {
         b.iter(|| {
             let (res, report) = run_supervised(
+                Executor::Channel,
                 black_box(&compiled.graph),
-                &compiled.clustering,
-                &inputs,
+                &hc,
+                &batch,
                 &ctx,
-                None,
+                &RunOptions::default(),
                 &cfg,
             );
             assert_eq!(report.attempts, 1);

@@ -13,9 +13,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ramiel::obs::Obs;
 use ramiel::{compile, compile_with_obs, PipelineOptions};
 use ramiel_models::{build, ModelConfig, ModelKind};
-use ramiel_runtime::{
-    run_parallel, run_parallel_opts, run_parallel_profiled_opts, synth_inputs, RunOptions,
-};
+use ramiel_runtime::{run_hyper_profiled_opts, run_parallel_opts, synth_inputs, RunOptions};
 use ramiel_tensor::ExecCtx;
 use std::hint::black_box;
 
@@ -29,13 +27,15 @@ fn bench_parallel_obs_overhead(c: &mut Criterion) {
     .expect("pipeline");
     let inputs = synth_inputs(&compiled.graph, 42);
     let ctx = ExecCtx::sequential();
+    let hc = ramiel_cluster::hypercluster(&compiled.clustering, 1);
     group.bench_function(BenchmarkId::from_parameter("baseline"), |b| {
         b.iter(|| {
-            run_parallel(
+            run_parallel_opts(
                 black_box(&compiled.graph),
                 &compiled.clustering,
                 &inputs,
                 &ctx,
+                &RunOptions::default(),
             )
             .expect("par")
         });
@@ -58,10 +58,10 @@ fn bench_parallel_obs_overhead(c: &mut Criterion) {
         b.iter(|| {
             let obs = Obs::enabled();
             let opts = RunOptions::default().obs(obs.clone());
-            let (out, db) = run_parallel_profiled_opts(
+            let (out, db) = run_hyper_profiled_opts(
                 black_box(&compiled.graph),
-                &compiled.clustering,
-                &inputs,
+                &hc,
+                std::slice::from_ref(&inputs),
                 &ctx,
                 &opts,
             )

@@ -11,7 +11,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ramiel::{compile, PipelineOptions};
 use ramiel_cluster::StaticCost;
 use ramiel_models::{build, ModelConfig, ModelKind};
-use ramiel_runtime::{run_parallel, run_sequential, simulate_clustering, synth_inputs, SimConfig};
+use ramiel_runtime::{
+    run_parallel_opts, run_sequential, simulate_clustering, synth_inputs, RunOptions, SimConfig,
+};
 use ramiel_tensor::ExecCtx;
 use std::hint::black_box;
 
@@ -62,7 +64,14 @@ fn bench_parallel_execution(c: &mut Criterion) {
             &compiled,
             |b, c| {
                 b.iter(|| {
-                    run_parallel(black_box(&c.graph), &c.clustering, &inputs, &ctx).expect("par")
+                    run_parallel_opts(
+                        black_box(&c.graph),
+                        &c.clustering,
+                        &inputs,
+                        &ctx,
+                        &RunOptions::default(),
+                    )
+                    .expect("par")
                 });
             },
         );
@@ -106,7 +115,16 @@ fn bench_pruned_execution(c: &mut Criterion) {
             let inputs = synth_inputs(&compiled.graph, 42);
             let ctx = ExecCtx::sequential();
             group.bench_with_input(BenchmarkId::new(label, kind.name()), &compiled, |b, c| {
-                b.iter(|| run_parallel(&c.graph, &c.clustering, &inputs, &ctx).expect("par"));
+                b.iter(|| {
+                    run_parallel_opts(
+                        &c.graph,
+                        &c.clustering,
+                        &inputs,
+                        &ctx,
+                        &RunOptions::default(),
+                    )
+                    .expect("par")
+                });
             });
         }
     }

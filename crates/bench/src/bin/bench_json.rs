@@ -15,8 +15,8 @@ use ramiel::{compile, PipelineOptions};
 use ramiel_cluster::{distance_to_end, linear_clustering, merge_clusters_fixpoint};
 use ramiel_models::{build, ModelConfig, ModelKind};
 use ramiel_runtime::{
-    run_parallel, run_parallel_opts, run_parallel_profiled, run_sequential, run_sequential_opts,
-    simulate_clustering, synth_inputs, RunOptions, SimConfig,
+    run_hyper_profiled_opts, run_parallel_opts, run_sequential, run_sequential_opts,
+    simulate_clustering, synth_inputs, ProfileDb, RunOptions, SimConfig,
 };
 use ramiel_tensor::{ExecCtx, MemGauge};
 use serde::Serialize;
@@ -73,15 +73,10 @@ struct BackendRow {
     /// Sequential-executor min-of-iters per kernel backend.
     scalar_ms: f64,
     simd_ms: f64,
-    quant_i8_ms: f64,
     /// scalar / simd — the guard: must stay ≥ 1.3 on BERT. Whole-model, so
     /// Amdahl's law already discounts the non-Gemm ops; a regression here
     /// means the vectorized microkernels stopped paying for themselves.
     simd_speedup: f64,
-    /// scalar / quant-i8 — reported, not guarded: the i8 path trades
-    /// per-call activation quantization for narrower arithmetic, and which
-    /// side wins is shape-dependent.
-    quant_speedup: f64,
 }
 
 #[derive(Serialize)]
@@ -199,9 +194,8 @@ fn time_min_ms(iters: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
-/// One timed unit of backend kernel work: the f32 `mm` entry point for
-/// ScalarF32/SimdF32 (which dispatches on the ctx backend), or the i8
-/// quantize → integer-mm → dequantize pipeline for QuantI8.
+/// One timed unit of backend kernel work: the f32 `mm` entry point, which
+/// dispatches on the ctx backend.
 fn run_backend_mm(
     ctx: &ramiel_tensor::ExecCtx,
     a: &ramiel_tensor::Tensor<f32>,
@@ -210,21 +204,27 @@ fn run_backend_mm(
     k: usize,
     n: usize,
 ) {
-    use ramiel_runtime::KernelBackend;
-    if ctx.backend() == KernelBackend::QuantI8 {
-        std::hint::black_box(
-            ramiel_tensor::kernels::quant::matmul_q(ctx, a, b).expect("quant matmul"),
-        );
-    } else {
-        std::hint::black_box(ramiel_tensor::kernels::gemm::mm(
-            ctx,
-            a.data(),
-            b.data(),
-            m,
-            k,
-            n,
-        ));
-    }
+    std::hint::black_box(ramiel_tensor::kernels::gemm::mm(
+        ctx,
+        a.data(),
+        b.data(),
+        m,
+        k,
+        n,
+    ));
+}
+
+/// Profiling database of one batch-1 channel-executor run.
+fn profile_batch1(
+    c: &ramiel::CompiledModel,
+    inputs: &ramiel_runtime::Env,
+    ctx: &ExecCtx,
+) -> ProfileDb {
+    let hc = ramiel_cluster::hypercluster(&c.clustering, 1);
+    let inputs = std::slice::from_ref(inputs);
+    run_hyper_profiled_opts(&c.graph, &hc, inputs, ctx, &RunOptions::default())
+        .expect("profiled")
+        .1
 }
 
 fn main() {
@@ -258,7 +258,14 @@ fn main() {
             run_sequential(&c.graph, &inputs, &ctx).expect("seq");
         });
         let par_ms = time_ms(iters, || {
-            run_parallel(&c.graph, &c.clustering, &inputs, &ctx).expect("par");
+            run_parallel_opts(
+                &c.graph,
+                &c.clustering,
+                &inputs,
+                &ctx,
+                &RunOptions::default(),
+            )
+            .expect("par");
         });
         models.push(ModelRow {
             model: kind.name().to_string(),
@@ -296,18 +303,11 @@ fn main() {
             let a = ramiel_tensor::Value::random_f32(vec![m, k], 3);
             let b = ramiel_tensor::Value::random_f32(vec![k, n], 4);
             let (a, b) = (a.f32().expect("f32"), b.f32().expect("f32"));
-            let ctxs = [
-                ctx.clone(),
-                ctx.with_backend(KernelBackend::SimdF32),
-                ctx.with_backend(KernelBackend::QuantI8),
-            ];
+            let ctxs = KernelBackend::all().map(|b| ctx.with_backend(b));
             let measure = || {
-                let mut samples = [vec![], vec![], vec![]];
+                let mut samples = [vec![], vec![]];
                 for c in &ctxs {
-                    // warm-up; QuantI8 has no mm entry point — time the f32
-                    // kernels for scalar/simd and the i8 kernel via its own
-                    // quantize-multiply-dequantize pipeline.
-                    run_backend_mm(c, a, b, m, k, n);
+                    run_backend_mm(c, a, b, m, k, n); // warm-up
                 }
                 for _ in 0..rounds {
                     for (i, c) in ctxs.iter().enumerate() {
@@ -316,10 +316,10 @@ fn main() {
                         samples[i].push(start.elapsed().as_secs_f64() * 1e3);
                     }
                 }
-                let [sc, si, qu] = samples;
-                (minimum(&sc), minimum(&si), minimum(&qu))
+                let [sc, si] = samples;
+                (minimum(&sc), minimum(&si))
             };
-            let (mut scalar_ms, mut simd_ms, mut quant_i8_ms) = measure();
+            let (mut scalar_ms, mut simd_ms) = measure();
             for attempt in 0..2 {
                 if scalar_ms / simd_ms.max(1e-9) >= 1.3 {
                     break;
@@ -329,15 +329,13 @@ fn main() {
                     scalar_ms / simd_ms.max(1e-9),
                     attempt + 1,
                 );
-                (scalar_ms, simd_ms, quant_i8_ms) = measure();
+                (scalar_ms, simd_ms) = measure();
             }
             rows.push(BackendRow {
                 model: label.to_string(),
                 scalar_ms,
                 simd_ms,
-                quant_i8_ms,
                 simd_speedup: scalar_ms / simd_ms.max(1e-9),
-                quant_speedup: scalar_ms / quant_i8_ms.max(1e-9),
             });
         }
         // Whole-model backend comparison (informational).
@@ -350,30 +348,25 @@ fn main() {
         let c =
             compile(build(ModelKind::Bert, &bcfg), &PipelineOptions::default()).expect("pipeline");
         let inputs = synth_inputs(&c.graph, 42);
-        let opts: Vec<RunOptions> = KernelBackend::all()
-            .iter()
-            .map(|&b| RunOptions::default().backend(b))
-            .collect();
-        let mut samples = [vec![], vec![], vec![]];
-        for o in &opts {
-            run_sequential_opts(&c.graph, &inputs, &ctx, o).expect("seq"); // warm-up
+        let ctxs = KernelBackend::all().map(|b| ctx.with_backend(b));
+        let mut samples = [vec![], vec![]];
+        for bctx in &ctxs {
+            run_sequential(&c.graph, &inputs, bctx).expect("seq"); // warm-up
         }
         for _ in 0..iters.max(5) {
-            for (i, o) in opts.iter().enumerate() {
+            for (i, bctx) in ctxs.iter().enumerate() {
                 let start = Instant::now();
-                run_sequential_opts(&c.graph, &inputs, &ctx, o).expect("seq");
+                run_sequential(&c.graph, &inputs, bctx).expect("seq");
                 samples[i].push(start.elapsed().as_secs_f64() * 1e3);
             }
         }
-        let [sc, si, qu] = samples;
-        let (scalar_ms, simd_ms, quant_i8_ms) = (minimum(&sc), minimum(&si), minimum(&qu));
+        let [sc, si] = samples;
+        let (scalar_ms, simd_ms) = (minimum(&sc), minimum(&si));
         rows.push(BackendRow {
             model: "BERT (whole model, hidden 512)".to_string(),
             scalar_ms,
             simd_ms,
-            quant_i8_ms,
             simd_speedup: scalar_ms / simd_ms.max(1e-9),
-            quant_speedup: scalar_ms / quant_i8_ms.max(1e-9),
         });
         rows
     };
@@ -397,7 +390,7 @@ fn main() {
     // ANY model is a regression that fails the run.
     let mut stealing = Vec::new();
     {
-        use ramiel_runtime::{StealPlan, StealPool};
+        use ramiel_runtime::{RunOptions, StealPlan, StealPool};
         use std::sync::Arc;
         let pool = StealPool::global();
         let steal_iters = iters.max(5);
@@ -498,7 +491,14 @@ fn main() {
     .expect("pipeline");
     let inputs = synth_inputs(&c.graph, 42);
     let baseline_ms = time_ms(iters, || {
-        run_parallel(&c.graph, &c.clustering, &inputs, &ctx).expect("par");
+        run_parallel_opts(
+            &c.graph,
+            &c.clustering,
+            &inputs,
+            &ctx,
+            &RunOptions::default(),
+        )
+        .expect("par");
     });
     let disabled = RunOptions::default().obs(Obs::disabled());
     let disabled_obs_ms = time_ms(iters, || {
@@ -507,8 +507,7 @@ fn main() {
     let enabled_obs_ms = time_ms(iters, || {
         let obs = Obs::enabled();
         let opts = RunOptions::default().obs(obs.clone());
-        ramiel_runtime::run_parallel_profiled_opts(&c.graph, &c.clustering, &inputs, &ctx, &opts)
-            .expect("par");
+        run_parallel_opts(&c.graph, &c.clustering, &inputs, &ctx, &opts).expect("par");
     });
     let obs_overhead = ObsOverhead {
         model: "Squeezenet".to_string(),
@@ -576,7 +575,7 @@ fn main() {
     }
 
     // Fig. 10 feedback loop: measured profile → MeasuredCost → recluster.
-    let (_, db) = run_parallel_profiled(&c.graph, &c.clustering, &inputs, &ctx).expect("profiled");
+    let db = profile_batch1(&c, &inputs, &ctx);
     let measured = db.measured_cost(&c.graph);
     let dist = distance_to_end(&c.graph, &measured);
     let tuned = merge_clusters_fixpoint(&linear_clustering(&c.graph, &dist), &dist);
@@ -618,8 +617,7 @@ fn main() {
         let c =
             compile(build(ModelKind::Bert, &cfg), &PipelineOptions::default()).expect("pipeline");
         let inputs = synth_inputs(&c.graph, 42);
-        let (_, db) =
-            run_parallel_profiled(&c.graph, &c.clustering, &inputs, &ctx).expect("profiled");
+        let db = profile_batch1(&c, &inputs, &ctx);
         let channel_bytes: u64 = db.channels().iter().map(|e| e.bytes).sum();
         let channel_copied_bytes: u64 = db.channels().iter().map(|e| e.copied_bytes).sum();
         ZeroCopy {

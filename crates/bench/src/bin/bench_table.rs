@@ -23,7 +23,6 @@ struct Row {
     iters: String,
     par_speedup: Option<f64>,
     simd_speedup: Option<f64>,
-    quant_speedup: Option<f64>,
     steal_speedup: Option<f64>,
     mem_cut: Option<f64>,
     zero_copy: Option<f64>,
@@ -91,24 +90,6 @@ fn row_for(date: &str, summary: &Value) -> Row {
                             .is_some_and(|m| m.contains(" mm "))
                     })
                     .filter_map(|b| b.get("simd_speedup").and_then(Value::as_f64))
-                    .collect::<Vec<f64>>()
-            })
-            .and_then(|xs| geomean(&xs)),
-        // Informational only — bench_json reports quant-i8 but guards
-        // nothing on it: the i8 path pays per-call activation quantization
-        // for narrower arithmetic, so < 1.0x here is expected, not a
-        // regression. Starred in the table header for that reason.
-        quant_speedup: summary
-            .get("backends")
-            .and_then(Value::as_array)
-            .map(|bs| {
-                bs.iter()
-                    .filter(|b| {
-                        b.get("model")
-                            .and_then(Value::as_str)
-                            .is_some_and(|m| m.contains(" mm "))
-                    })
-                    .filter_map(|b| b.get("quant_speedup").and_then(Value::as_f64))
                     .collect::<Vec<f64>>()
             })
             .and_then(|xs| geomean(&xs)),
@@ -190,31 +171,23 @@ fn main() {
          execution. `simd` is the geomean SimdF32-over-ScalarF32 speedup on\n\
          BERT's dominant Gemm kernel shapes (each guarded \u{2265} 1.3x by\n\
          `bench_json`; whole-model ratios are reported in the JSON but not\n\
-         folded here).\n\n\
-         `quant-i8*` is **informational only** — reported by `bench_json`\n\
-         but covered by no regression guard. The i8 backend pays per-call\n\
-         activation quantization to buy narrower arithmetic, so on these\n\
-         f32-rooted microbenches it sits below 1.0x by design; a value\n\
-         around 0.45x is the expected cost of the accuracy experiment, not\n\
-         an unguarded slowdown. Its correctness (tolerance to f32,\n\
-         bit-identical across executors) is what CI pins, via the\n\
-         `quant_conformance` suite.\n\n",
+         folded here). Fields of older snapshots that no column reads\n\
+         are ignored.\n\n",
     );
     md.push_str(
-        "| date | config | iters | par speedup | simd | quant-i8* | steal b1 | peak-mem cut | zero-copy | serve speedup |\n",
+        "| date | config | iters | par speedup | simd | steal b1 | peak-mem cut | zero-copy | serve speedup |\n",
     );
     md.push_str(
-        "|------|--------|-------|-------------|------|-----------|----------|--------------|-----------|---------------|\n",
+        "|------|--------|-------|-------------|------|----------|--------------|-----------|---------------|\n",
     );
     for r in &rows {
         md.push_str(&format!(
-            "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} |\n",
+            "| {} | {} | {} | {} | {} | {} | {} | {} | {} |\n",
             r.date,
             r.config,
             r.iters,
             fmt_x(r.par_speedup),
             fmt_x(r.simd_speedup),
-            fmt_x(r.quant_speedup),
             fmt_x(r.steal_speedup),
             fmt_pct(r.mem_cut),
             fmt_x(r.zero_copy),

@@ -18,8 +18,8 @@ use ramiel_cluster::{clustering_view, hypercluster, switched_hypercluster, Stati
 use ramiel_ios::{ios_makespan, ios_schedule, IosConfig};
 use ramiel_models::{build, ModelConfig, ModelKind};
 use ramiel_runtime::{
-    run_hyper, run_parallel, run_sequential, simulate_clustering, simulate_hyper,
-    simulate_sequential, synth_inputs, Env, SimConfig,
+    run_hyper_opts, run_parallel_opts, run_sequential, simulate_clustering, simulate_hyper,
+    simulate_sequential, synth_inputs, Env, RunOptions, SimConfig,
 };
 use ramiel_tensor::ExecCtx;
 use std::time::{Duration, Instant};
@@ -89,7 +89,14 @@ pub fn measured_times(c: &CompiledModel, iters: usize, intra_op: usize) -> (f64,
         run_sequential(&c.graph, &inputs, &ctx).expect("sequential run");
     });
     let par = time_ms(iters, || {
-        run_parallel(&c.graph, &c.clustering, &inputs, &ctx).expect("parallel run");
+        run_parallel_opts(
+            &c.graph,
+            &c.clustering,
+            &inputs,
+            &ctx,
+            &RunOptions::default(),
+        )
+        .expect("parallel run");
     });
     (seq, par)
 }
@@ -301,10 +308,24 @@ pub fn table6(iters: usize) -> Vec<Table6Row> {
                 run_sequential(&plain.graph, &inputs, &ctx).expect("seq");
             });
             let par_ms = time_ms(iters, || {
-                run_parallel(&plain.graph, &plain.clustering, &inputs, &ctx).expect("par");
+                run_parallel_opts(
+                    &plain.graph,
+                    &plain.clustering,
+                    &inputs,
+                    &ctx,
+                    &RunOptions::default(),
+                )
+                .expect("par");
             });
             let par_pruned_ms = time_ms(iters, || {
-                run_parallel(&pruned.graph, &pruned.clustering, &inputs, &ctx).expect("par");
+                run_parallel_opts(
+                    &pruned.graph,
+                    &pruned.clustering,
+                    &inputs,
+                    &ctx,
+                    &RunOptions::default(),
+                )
+                .expect("par");
             });
             Table6Row {
                 model: k.name().into(),
@@ -508,7 +529,7 @@ pub fn hyper_row(
         }
     });
     let par_ms = time_ms(iters, || {
-        run_hyper(&c.graph, &hc, &inputs, &ctx).expect("hyper");
+        run_hyper_opts(&c.graph, &hc, &inputs, &ctx, &RunOptions::default()).expect("hyper");
     });
     let sim = simulate_hyper(&c.graph, &hc, &StaticCost, &sim_config()).expect("sim");
     let seq_sim = simulate_sequential(&c.graph, &StaticCost, batch);
@@ -725,7 +746,8 @@ pub fn per_request_load(
                 let seed = t * 100_000 + i;
                 let inputs = synth_inputs(&graph, seed);
                 let start = Instant::now();
-                match run_parallel(&graph, &clustering, &inputs, &ctx) {
+                match run_parallel_opts(&graph, &clustering, &inputs, &ctx, &RunOptions::default())
+                {
                     Ok(out) => {
                         latencies_ms.push(start.elapsed().as_secs_f64() * 1e3);
                         completed += 1;

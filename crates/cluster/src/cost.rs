@@ -171,8 +171,8 @@ pub struct MeasuredCost {
     per_kind: HashMap<String, u64>,
     /// Nanoseconds represented by one cost unit.
     ns_per_unit: u64,
-    /// Kernel backend the samples were measured under (`"scalar"`,
-    /// `"simd"`, `"quant-i8"`), as a plain label so this crate stays free
+    /// Kernel backend the samples were measured under (`"scalar"` or
+    /// `"simd"`), as a plain label so this crate stays free
     /// of a tensor dependency. Per-node times shift by different ratios
     /// across backends (SIMD accelerates Gemm-heavy nodes far more than
     /// elementwise ones), so a clustering tuned from one backend's profile

@@ -63,12 +63,9 @@
 //! dynamic schedule's estimate-only view (sound first-ready memory bound,
 //! no channel lints — the executor has no channels to lint).
 //!
-//! `--backend <scalar|simd|quant-i8>` (`run`, `serve`, `analyze`) picks the
-//! kernel backend: `scalar` (default) plain f32 loops, `simd` lane-unrolled
-//! f32x8 microkernels (bit-identical to scalar), `quant-i8` per-tensor
-//! symmetric int8 with dequantized f32 outputs (within tolerance of f32,
-//! not bit-identical). Under `analyze`, `--backend quant-i8` additionally
-//! reports the resident bytes of the per-plan quantized weight cache.
+//! `--backend <scalar|simd>` (`run`, `profile`, `serve`) picks the kernel
+//! backend of the execution context: `scalar` (default) plain f32 loops,
+//! `simd` lane-unrolled f32x8 microkernels (bit-identical to scalar).
 //!
 //! `ramiel check` runs the pipeline, then statically verifies the resulting
 //! `(graph, schedule)` pair with `ramiel-verify`: partition coverage, cycle
@@ -82,7 +79,7 @@ use ramiel::diag::Gate;
 use ramiel::{compile, CompiledModel, HyperMode, PipelineOptions, PreparedModel, Scheduler};
 use ramiel_models::{build, ModelConfig, ModelKind};
 use ramiel_runtime::{
-    run_parallel, run_parallel_opts, run_sequential, run_sequential_opts, synth_inputs,
+    run_parallel_opts, run_sequential, run_sequential_opts, synth_inputs, Executor, RunOptions,
 };
 use ramiel_tensor::{ExecCtx, KernelBackend};
 use std::process::ExitCode;
@@ -136,10 +133,10 @@ struct Flags {
     count: usize,
     deadline_ms: Option<u64>,
     json: bool,
-    stealing: bool,
+    executor: Executor,
     interval_ms: u64,
     frames: usize,
-    backend: Option<KernelBackend>,
+    backend: KernelBackend,
     sha256: Option<String>,
     cache: Option<String>,
     onnx: bool,
@@ -173,10 +170,10 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         count: 1,
         deadline_ms: None,
         json: false,
-        stealing: false,
+        executor: Executor::Channel,
         interval_ms: 1000,
         frames: 0,
-        backend: None,
+        backend: KernelBackend::ScalarF32,
         sha256: None,
         cache: None,
         onnx: false,
@@ -285,18 +282,14 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                 )
             }
             "--executor" => {
-                f.stealing = match value("--executor")?.as_str() {
-                    "channel" | "parallel" => false,
-                    "stealing" => true,
-                    other => return Err(format!("unknown executor `{other}` (channel|stealing)")),
-                }
+                let v = value("--executor")?;
+                f.executor = Executor::parse(&v)
+                    .ok_or_else(|| format!("unknown executor `{v}` (channel|stealing)"))?;
             }
             "--backend" => {
                 let v = value("--backend")?;
-                f.backend = Some(
-                    KernelBackend::parse(&v)
-                        .ok_or_else(|| format!("unknown backend `{v}` (scalar|simd|quant-i8)"))?,
-                )
+                f.backend = KernelBackend::parse(&v)
+                    .ok_or_else(|| format!("unknown backend `{v}` (scalar|simd)"))?;
             }
             "--scheduler" => {
                 f.scheduler = match value("--scheduler")?.as_str() {
@@ -428,16 +421,13 @@ fn cmd_run(model: &str, f: &Flags) -> Result<(), String> {
     let c = &prepared.compiled;
     summarize(c);
     let inputs = synth_inputs(&c.graph, 42);
-    let ctx = ExecCtx::with_intra_op(f.intra_op);
+    let ctx = ExecCtx::with_intra_op(f.intra_op).with_backend(f.backend);
+    println!("kernel backend: {}", f.backend);
 
     if let Some(seed) = f.chaos_seed {
         return cmd_run_chaos(&prepared, &inputs, &ctx, seed, f);
     }
-    let mut run_opts = prepared.run_options();
-    if let Some(b) = f.backend {
-        run_opts = run_opts.backend(b);
-        println!("kernel backend: {b}");
-    }
+    let run_opts = prepared.run_options();
 
     let time_it = |label: &str, body: &dyn Fn() -> Result<(), String>| -> Result<(), String> {
         body()?; // warm-up
@@ -461,7 +451,7 @@ fn cmd_run(model: &str, f: &Flags) -> Result<(), String> {
         })?;
     }
     if f.mode == "par" || f.mode == "both" {
-        if f.stealing {
+        if f.executor == Executor::Stealing {
             // Plan once (it is reusable and what a serving deployment would
             // cache); time only the pool executions.
             let plan = std::sync::Arc::new(
@@ -496,10 +486,7 @@ fn cmd_run_chaos(
     seed: u64,
     f: &Flags,
 ) -> Result<(), String> {
-    use ramiel_runtime::{
-        run_stealing_supervised_opts, run_supervised_opts, FaultInjector, FaultPlan,
-        SupervisorConfig,
-    };
+    use ramiel_runtime::{run_supervised, FaultInjector, FaultPlan, SupervisorConfig};
     let c = &prepared.compiled;
     let plan = FaultPlan::random(seed, c.graph.num_nodes(), 1, f.chaos_faults);
     println!("chaos plan (seed {seed}):");
@@ -510,7 +497,6 @@ fn cmd_run_chaos(
         );
     }
     let mut opts = prepared.run_options();
-    opts.backend = f.backend;
     opts.injector = Some(FaultInjector::new(plan));
     let cfg = SupervisorConfig {
         max_retries: f.max_retries,
@@ -518,11 +504,16 @@ fn cmd_run_chaos(
         ..Default::default()
     };
     let start = Instant::now();
-    let (res, report) = if f.stealing {
-        run_stealing_supervised_opts(&c.graph, &c.clustering, inputs, ctx, &opts, &cfg)
-    } else {
-        run_supervised_opts(&c.graph, &c.clustering, inputs, ctx, &opts, &cfg)
-    };
+    let hc = ramiel_cluster::hypercluster(&c.clustering, 1);
+    let (res, report) = run_supervised(
+        f.executor,
+        &c.graph,
+        &hc,
+        std::slice::from_ref(inputs),
+        ctx,
+        &opts,
+        &cfg,
+    );
     let elapsed = start.elapsed();
     println!("attempts:              {}", report.attempts);
     println!("fell back:             {}", report.fell_back);
@@ -531,15 +522,11 @@ fn cmd_run_chaos(
         println!("    [{}] {e}", e.code());
     }
     match res {
-        Ok(out) => {
-            // Baseline with the same backend (and no injector): QuantI8
-            // output legitimately differs from scalar f32, so comparing
-            // across backends would be a false divergence.
-            let mut base_opts = prepared.run_options();
-            base_opts.backend = f.backend;
-            let baseline = run_sequential_opts(&c.graph, inputs, ctx, &base_opts)
+        Ok(outs) => {
+            // Baseline on the same context, without the injector.
+            let baseline = run_sequential_opts(&c.graph, inputs, ctx, &prepared.run_options())
                 .map_err(|e| e.to_string())?;
-            if baseline == out {
+            if outs == [baseline] {
                 println!("outcome:               ok in {elapsed:.2?} (matches sequential)");
                 Ok(())
             } else {
@@ -558,8 +545,8 @@ fn cmd_profile(model: &str, f: &Flags) -> Result<(), String> {
     use ramiel::obs::{validate_chrome_trace, Obs};
     use ramiel_cluster::{distance_to_end, linear_clustering, merge_clusters_fixpoint};
     use ramiel_runtime::{
-        predict_report, run_hyper_profiled_opts, run_parallel_profiled_opts,
-        run_sequential_profiled, simulate_clustering, SimConfig,
+        predict_report, run_hyper_profiled_opts, run_sequential_profiled, simulate_clustering,
+        SimConfig,
     };
 
     let cfg = if f.tiny {
@@ -585,26 +572,25 @@ fn cmd_profile(model: &str, f: &Flags) -> Result<(), String> {
     summarize(c);
     println!();
 
-    let ctx = ExecCtx::with_intra_op(f.intra_op);
+    let ctx = ExecCtx::with_intra_op(f.intra_op).with_backend(f.backend);
     let inputs = synth_inputs(&c.graph, 42);
-    // Every executor profiles under the same backend, so the divergence
-    // checks compare like for like (i8 is deterministic across executors).
-    let with_backend = |o: ramiel_runtime::RunOptions| match f.backend {
-        Some(b) => o.backend(b),
-        None => o,
-    };
 
-    let seq_opts = with_backend(prepared.run_options().obs(obs.with_pid(2)));
+    let seq_opts = prepared.run_options().obs(obs.with_pid(2));
     let (seq_out, seq_db) = run_sequential_profiled(&c.graph, &inputs, &ctx, &seq_opts)
         .map_err(|e| format!("sequential: {e}"))?;
     seq_db.export_to_obs(&obs.with_pid(2), &c.graph);
 
-    let par_opts = with_backend(prepared.run_options().obs(obs.with_pid(3)));
-    let (par_out, par_db) =
-        run_parallel_profiled_opts(&c.graph, &c.clustering, &inputs, &ctx, &par_opts)
-            .map_err(|e| format!("parallel: {e}"))?;
+    let par_opts = prepared.run_options().obs(obs.with_pid(3));
+    let (par_out, par_db) = run_hyper_profiled_opts(
+        &c.graph,
+        &ramiel_cluster::hypercluster(&c.clustering, 1),
+        std::slice::from_ref(&inputs),
+        &ctx,
+        &par_opts,
+    )
+    .map_err(|e| format!("parallel: {e}"))?;
     par_db.export_to_obs(&obs.with_pid(3), &c.graph);
-    if par_out != seq_out {
+    if par_out != [seq_out] {
         return Err("parallel output diverged from sequential".into());
     }
 
@@ -615,7 +601,7 @@ fn cmd_profile(model: &str, f: &Flags) -> Result<(), String> {
     let batch_inputs: Vec<_> = (0..hc.batch)
         .map(|b| synth_inputs(&c.graph, 42 + b as u64))
         .collect();
-    let hyper_opts = with_backend(prepared.run_options().obs(obs.with_pid(4)));
+    let hyper_opts = prepared.run_options().obs(obs.with_pid(4));
     let (_, hyper_db) = run_hyper_profiled_opts(&c.graph, &hc, &batch_inputs, &ctx, &hyper_opts)
         .map_err(|e| format!("hyper: {e}"))?;
     hyper_db.export_to_obs(&obs.with_pid(4), &c.graph);
@@ -740,8 +726,14 @@ fn cmd_fuzz(f: &Flags) -> Result<(), String> {
         c.clustering
             .check_partition(&c.graph)
             .map_err(|e| format!("seed {seed}: partition: {e}"))?;
-        let par = run_parallel(&c.graph, &c.clustering, &inputs, &ctx)
-            .map_err(|e| format!("seed {seed}: parallel: {e}"))?;
+        let par = run_parallel_opts(
+            &c.graph,
+            &c.clustering,
+            &inputs,
+            &ctx,
+            &RunOptions::default(),
+        )
+        .map_err(|e| format!("seed {seed}: parallel: {e}"))?;
         for (k, a) in &baseline {
             let b = par
                 .get(k)
@@ -860,7 +852,7 @@ fn analyze_one(
     // estimate-only view (single first-ready worker — sound memory bound,
     // nothing for the channel lints to inspect) instead of pretending the
     // clustering's channel structure exists at runtime.
-    let view = if f.stealing {
+    let view = if f.executor == Executor::Stealing {
         ramiel_cluster::stealing_view(&c.graph, f.batch.max(1))
     } else {
         view
@@ -909,30 +901,6 @@ fn analyze_one(
             "      worker {:>3}  peak {:>12} B  resident {:>12} B  {:>5} ops",
             wm.worker, wm.peak_bytes, wm.resident_bytes, wm.ops
         );
-    }
-    if let Some(b) = f.backend {
-        println!("    kernel backend: {b}");
-        if b == KernelBackend::QuantI8 {
-            // The i8 backend caches a quantized copy of every constant
-            // Gemm/MatMul/Conv weight per plan (1 byte per element),
-            // resident on top of the f32 weights above.
-            let mut bytes = 0usize;
-            let mut count = 0usize;
-            for node in &c.graph.nodes {
-                if matches!(
-                    node.op,
-                    ramiel_ir::OpKind::Conv { .. }
-                        | ramiel_ir::OpKind::Gemm { .. }
-                        | ramiel_ir::OpKind::MatMul
-                ) {
-                    if let Some(t) = node.inputs.get(1).and_then(|w| c.graph.initializers.get(w)) {
-                        bytes += t.numel();
-                        count += 1;
-                    }
-                }
-            }
-            println!("    quant-i8 weight cache: {bytes} bytes across {count} constant weights");
-        }
     }
     Ok(gate)
 }
@@ -1022,15 +990,12 @@ fn cmd_serve(model: &str, f: &Flags) -> Result<(), String> {
     let server = Arc::new(Server::new(serve_cfg));
     server.load(model, spec).map_err(|e| e.to_string())?;
     println!(
-        "serving `{model}` (max batch {}, window {} ms, queue {}{}{})",
+        "serving `{model}` (max batch {}, window {} ms, queue {}{}, backend {})",
         f.max_batch,
         f.max_delay_ms,
         f.queue_cap,
         if f.shed { ", shedding" } else { "" },
-        match f.backend {
-            Some(b) => format!(", backend {b}"),
-            None => String::new(),
-        }
+        f.backend
     );
     let listener = std::net::TcpListener::bind(("127.0.0.1", f.port))
         .map_err(|e| format!("bind 127.0.0.1:{}: {e}", f.port))?;

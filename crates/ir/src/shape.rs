@@ -9,6 +9,7 @@
 use crate::error::IrError;
 use crate::graph::{Graph, Node, TensorInfo};
 use crate::op::{DType, OpKind};
+use crate::tensor_data::{checked_numel, MAX_ELEMENTS};
 use crate::topo::topo_sort;
 use crate::Result;
 
@@ -49,6 +50,17 @@ pub fn norm_axis(axis: isize, rank: usize) -> Result<usize> {
         )));
     }
     Ok(a as usize)
+}
+
+/// Element count of `shape` through [`checked_numel`], or a shape error
+/// naming `what` when it overflows or passes [`MAX_ELEMENTS`].
+fn shape_numel(node: &Node, what: &str, shape: &[usize]) -> Result<usize> {
+    checked_numel(shape).ok_or_else(|| {
+        err(
+            node,
+            format!("{what} {shape:?} holds more than {MAX_ELEMENTS} elements"),
+        )
+    })
 }
 
 fn err(node: &Node, reason: impl Into<String>) -> IrError {
@@ -468,7 +480,7 @@ pub fn infer_node(graph: &Graph, node: &Node) -> Result<Vec<TensorInfo>> {
         OpKind::Reshape => {
             let x = input_info(graph, node, 0)?;
             let spec = const_i64_operand(graph, node, 1)?;
-            let numel: usize = x.shape.iter().product();
+            let numel = shape_numel(node, "Reshape input", &x.shape)?;
             let mut shape: Vec<usize> = Vec::with_capacity(spec.len());
             let mut infer_at = None;
             for (i, &d) in spec.iter().enumerate() {
@@ -489,7 +501,7 @@ pub fn infer_node(graph: &Graph, node: &Node) -> Result<Vec<TensorInfo>> {
                     _ => return Err(err(node, "Reshape dims must be -1, 0 or positive")),
                 }
             }
-            let partial: usize = shape.iter().product();
+            let partial = shape_numel(node, "Reshape target", &shape)?;
             if let Some(i) = infer_at {
                 if partial == 0 || !numel.is_multiple_of(partial) {
                     return Err(err(node, "Reshape cannot infer -1 dimension"));
@@ -518,8 +530,8 @@ pub fn infer_node(graph: &Graph, node: &Node) -> Result<Vec<TensorInfo>> {
             } else {
                 norm_axis(*axis, x.shape.len())?
             };
-            let lead: usize = x.shape[..ax].iter().product();
-            let tail: usize = x.shape[ax..].iter().product();
+            let lead = shape_numel(node, "Flatten leading dims", &x.shape[..ax])?;
+            let tail = shape_numel(node, "Flatten trailing dims", &x.shape[ax..])?;
             Ok(vec![TensorInfo::new("", x.dtype, vec![lead, tail])])
         }
         OpKind::Unsqueeze { axes } => {
@@ -678,6 +690,31 @@ mod tests {
         b.output(&y);
         let g = b.finish().unwrap();
         assert_eq!(g.value_info[&y].shape, vec![2, 12]);
+    }
+
+    #[test]
+    fn element_counts_past_the_cap_are_shape_errors() {
+        let huge = vec![1, 1 << 33, 1 << 33];
+        let mut b = GraphBuilder::new("t");
+        let x = b.input("x", DType::F32, huge.clone());
+        let f = b.op("fl", OpKind::Flatten { axis: 1 }, vec![x]);
+        b.output(&f);
+        let e = b.finish().unwrap_err();
+        assert!(
+            matches!(e, IrError::Shape { ref node, .. } if node.starts_with("fl")),
+            "{e}"
+        );
+
+        let mut b = GraphBuilder::new("t");
+        let x = b.input("x", DType::F32, huge);
+        let spec = b.init("spec", TensorData::vec_i64(vec![-1]));
+        let y = b.op("rs", OpKind::Reshape, vec![x, spec]);
+        b.output(&y);
+        let e = b.finish().unwrap_err();
+        assert!(
+            matches!(e, IrError::Shape { ref node, .. } if node.starts_with("rs")),
+            "{e}"
+        );
     }
 
     #[test]

@@ -89,6 +89,12 @@ pub fn import_graph(model: &ModelProto) -> Result<Graph> {
                 }
             }
         }
+        if checked_numel(&shape).is_none() {
+            return Err(OnnxError::Shape {
+                name: vi.name.clone(),
+                reason: format!("shape {shape:?} holds more than {MAX_ELEMENTS} elements"),
+            });
+        }
         graph.inputs.push(TensorInfo::new(&vi.name, dtype, shape));
     }
 

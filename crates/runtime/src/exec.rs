@@ -56,7 +56,6 @@ fn run_sequential_inner(
     opts: &RunOptions,
     mut profile: Option<&mut ProfileDb>,
 ) -> Result<Env> {
-    let ctx = &opts.apply_backend(ctx);
     if let Some(db) = profile.as_deref_mut() {
         db.set_backend(ctx.backend().name());
     }

@@ -32,10 +32,7 @@ pub mod supervisor;
 
 pub use exec::{run_sequential, run_sequential_opts, run_sequential_profiled};
 pub use fault::{Fault, FaultInjector, FaultKind, FaultPlan};
-pub use parallel::{
-    run_hyper, run_hyper_opts, run_hyper_profiled, run_hyper_profiled_opts, run_parallel,
-    run_parallel_opts, run_parallel_profiled, run_parallel_profiled_opts, RunOptions,
-};
+pub use parallel::{run_hyper_opts, run_hyper_profiled_opts, run_parallel_opts, RunOptions};
 pub use predict::{predict_report, ClusterPrediction, KindPrediction, PredictionReport};
 pub use profile::{OpRecord, ProfileDb, SlackReport, WorkerSpan};
 pub use ramiel_tensor::KernelBackend;
@@ -43,13 +40,10 @@ pub use sim::{
     simulate_clustering, simulate_hyper, simulate_sequential, SimConfig, SimEvent, SimResult,
 };
 pub use stealing::{
-    run_hyper_stealing, run_hyper_stealing_opts, run_stealing, run_stealing_opts, StealChaos,
-    StealPlan, StealPool, StealPoolStats, StealSlotStats,
+    run_hyper_stealing_opts, run_stealing_opts, StealChaos, StealPlan, StealPool, StealPoolStats,
+    StealSlotStats,
 };
-pub use supervisor::{
-    run_hyper_stealing_supervised_opts, run_hyper_supervised, run_hyper_supervised_opts,
-    run_stealing_supervised_opts, run_supervised, run_supervised_opts, RunReport, SupervisorConfig,
-};
+pub use supervisor::{run_supervised, Executor, RunReport, SupervisorConfig};
 
 use ramiel_tensor::Value;
 use std::collections::BTreeMap;

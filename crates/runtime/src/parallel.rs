@@ -36,7 +36,7 @@ use ramiel_cluster::Clustering;
 use ramiel_ir::{Graph, OpKind};
 use ramiel_obs::{ChannelMeter, Obs};
 use ramiel_passes::{inplace_marks, InPlaceMarks};
-use ramiel_tensor::{eval_op, eval_op_inplace, ExecCtx, KernelBackend, Value};
+use ramiel_tensor::{eval_op, eval_op_inplace, ExecCtx, Value};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -102,13 +102,6 @@ pub struct RunOptions {
     /// steal-pool task placement on the shared obs timeline. `None`
     /// outside the serving path.
     pub request_ids: Option<Arc<Vec<u64>>>,
-    /// Kernel backend override for this run. `None` keeps whatever the
-    /// [`ExecCtx`] already carries (its default is
-    /// [`KernelBackend::ScalarF32`]); `Some` rebinds the context at the
-    /// executor boundary, so one prepared model can serve different
-    /// backends per request. All six executors honor it — the override is
-    /// applied at each executor's single ctx-plumbing point.
-    pub backend: Option<KernelBackend>,
 }
 
 impl Default for RunOptions {
@@ -121,7 +114,6 @@ impl Default for RunOptions {
             reuse: true,
             steal_chaos: None,
             request_ids: None,
-            backend: None,
         }
     }
 }
@@ -162,24 +154,6 @@ impl RunOptions {
         self.steal_chaos = Some(chaos);
         self
     }
-
-    /// Select the kernel backend for this run (scalar f32, lane-unrolled
-    /// SIMD f32, or quantized i8).
-    pub fn backend(mut self, backend: KernelBackend) -> Self {
-        self.backend = Some(backend);
-        self
-    }
-
-    /// The context this run should execute with: the caller's `ctx`, with
-    /// the backend override rebound if one is set. Every executor routes
-    /// its worker contexts through here so `--backend` behaves identically
-    /// across all of them.
-    pub fn apply_backend(&self, ctx: &ExecCtx) -> ExecCtx {
-        match self.backend {
-            Some(b) if b != ctx.backend() => ctx.with_backend(b),
-            _ => ctx.clone(),
-        }
-    }
 }
 
 /// Key for a tensor instance: (tensor name, batch element).
@@ -194,16 +168,6 @@ enum Msg {
 }
 
 /// Execute a batch-1 clustering in parallel. Returns the graph outputs.
-pub fn run_parallel(
-    graph: &Graph,
-    clustering: &Clustering,
-    inputs: &Env,
-    ctx: &ExecCtx,
-) -> Result<Env> {
-    run_parallel_opts(graph, clustering, inputs, ctx, &RunOptions::default())
-}
-
-/// [`run_parallel`] with explicit [`RunOptions`].
 pub fn run_parallel_opts(
     graph: &Graph,
     clustering: &Clustering,
@@ -216,43 +180,8 @@ pub fn run_parallel_opts(
     Ok(outs.pop().expect("batch 1 yields one output env"))
 }
 
-/// Same as [`run_parallel`] but also returns the profiling database
-/// (per-op times and communication slack).
-pub fn run_parallel_profiled(
-    graph: &Graph,
-    clustering: &Clustering,
-    inputs: &Env,
-    ctx: &ExecCtx,
-) -> Result<(Env, ProfileDb)> {
-    run_parallel_profiled_opts(graph, clustering, inputs, ctx, &RunOptions::default())
-}
-
-/// [`run_parallel_profiled`] with explicit [`RunOptions`].
-pub fn run_parallel_profiled_opts(
-    graph: &Graph,
-    clustering: &Clustering,
-    inputs: &Env,
-    ctx: &ExecCtx,
-    opts: &RunOptions,
-) -> Result<(Env, ProfileDb)> {
-    let hc = ramiel_cluster::hypercluster(clustering, 1);
-    let (mut outs, db) =
-        run_hyper_profiled_opts(graph, &hc, std::slice::from_ref(inputs), ctx, opts)?;
-    Ok((outs.pop().expect("batch 1 yields one output env"), db))
-}
-
 /// Execute a hyperclustered schedule over `batch` independent input
 /// environments. Returns one output environment per batch element.
-pub fn run_hyper(
-    graph: &Graph,
-    hc: &HyperClustering,
-    inputs: &[Env],
-    ctx: &ExecCtx,
-) -> Result<Vec<Env>> {
-    run_hyper_opts(graph, hc, inputs, ctx, &RunOptions::default())
-}
-
-/// [`run_hyper`] with explicit [`RunOptions`].
 pub fn run_hyper_opts(
     graph: &Graph,
     hc: &HyperClustering,
@@ -260,28 +189,7 @@ pub fn run_hyper_opts(
     ctx: &ExecCtx,
     opts: &RunOptions,
 ) -> Result<Vec<Env>> {
-    run_hyper_inner(graph, hc, inputs, ctx, opts).map(|(outs, _)| outs)
-}
-
-/// [`run_hyper`] plus the profiling database.
-pub fn run_hyper_profiled(
-    graph: &Graph,
-    hc: &HyperClustering,
-    inputs: &[Env],
-    ctx: &ExecCtx,
-) -> Result<(Vec<Env>, ProfileDb)> {
-    run_hyper_inner(graph, hc, inputs, ctx, &RunOptions::default())
-}
-
-/// [`run_hyper_profiled`] with explicit [`RunOptions`].
-pub fn run_hyper_profiled_opts(
-    graph: &Graph,
-    hc: &HyperClustering,
-    inputs: &[Env],
-    ctx: &ExecCtx,
-    opts: &RunOptions,
-) -> Result<(Vec<Env>, ProfileDb)> {
-    run_hyper_inner(graph, hc, inputs, ctx, opts)
+    run_hyper_profiled_opts(graph, hc, inputs, ctx, opts).map(|(outs, _)| outs)
 }
 
 /// Shared read-only worker state (one instance per run, borrowed by every
@@ -305,7 +213,9 @@ struct Shared<'a> {
     reuse: bool,
 }
 
-fn run_hyper_inner(
+/// [`run_hyper_opts`] plus the profiling database (per-op times and
+/// communication slack). Batch-1 callers pass `hypercluster(c, 1)`.
+pub fn run_hyper_profiled_opts(
     graph: &Graph,
     hc: &HyperClustering,
     inputs: &[Env],
@@ -370,7 +280,6 @@ fn run_hyper_inner(
     };
     let graph_outputs: HashSet<&str> = graph.outputs.iter().map(String::as_str).collect();
 
-    let ctx = opts.apply_backend(ctx);
     let out_envs: Mutex<Vec<Env>> = Mutex::new(vec![Env::new(); hc.batch]);
     let mut db0 = ProfileDb::new(k, hc.batch);
     // Anchor this run on the sink's timeline so executor slices line up
@@ -766,7 +675,7 @@ mod tests {
     use crate::exec::run_sequential;
     use crate::fault::{Fault, FaultPlan};
     use crate::synth_inputs;
-    use ramiel_cluster::{cluster_graph, switched_hypercluster, StaticCost};
+    use ramiel_cluster::{cluster_graph, hypercluster, switched_hypercluster, StaticCost};
     use ramiel_models::{build, synthetic, ModelConfig, ModelKind};
 
     fn assert_close(a: &Env, b: &Env) {
@@ -792,7 +701,8 @@ mod tests {
         let inputs = synth_inputs(&g, 11);
         let ctx = ExecCtx::sequential();
         let seq = run_sequential(&g, &inputs, &ctx).unwrap();
-        let par = run_parallel(&g, &clustering, &inputs, &ctx).unwrap();
+        let par =
+            run_parallel_opts(&g, &clustering, &inputs, &ctx, &RunOptions::default()).unwrap();
         assert_close(&seq, &par);
     }
 
@@ -805,7 +715,7 @@ mod tests {
             let clustering = cluster_graph(&g, &StaticCost);
             let inputs = synth_inputs(&g, 5);
             let seq = run_sequential(&g, &inputs, &ctx).unwrap();
-            let par = run_parallel(&g, &clustering, &inputs, &ctx)
+            let par = run_parallel_opts(&g, &clustering, &inputs, &ctx, &RunOptions::default())
                 .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
             assert_close(&seq, &par);
         }
@@ -819,7 +729,7 @@ mod tests {
         for batch in [2usize, 4] {
             let hc = ramiel_cluster::hypercluster(&clustering, batch);
             let inputs: Vec<Env> = (0..batch).map(|b| synth_inputs(&g, b as u64)).collect();
-            let outs = run_hyper(&g, &hc, &inputs, &ctx).unwrap();
+            let outs = run_hyper_opts(&g, &hc, &inputs, &ctx, &RunOptions::default()).unwrap();
             for (b, inp) in inputs.iter().enumerate() {
                 let seq = run_sequential(&g, inp, &ctx).unwrap();
                 assert_close(&seq, &outs[b]);
@@ -834,7 +744,7 @@ mod tests {
         let ctx = ExecCtx::sequential();
         let hc = switched_hypercluster(&clustering, 3);
         let inputs: Vec<Env> = (0..3).map(|b| synth_inputs(&g, 100 + b as u64)).collect();
-        let outs = run_hyper(&g, &hc, &inputs, &ctx).unwrap();
+        let outs = run_hyper_opts(&g, &hc, &inputs, &ctx, &RunOptions::default()).unwrap();
         for (b, inp) in inputs.iter().enumerate() {
             let seq = run_sequential(&g, inp, &ctx).unwrap();
             assert_close(&seq, &outs[b]);
@@ -859,8 +769,14 @@ mod tests {
         let g = b.finish().unwrap();
         let clustering = Clustering::new(vec![Cluster::new(vec![0]), Cluster::new(vec![1])]);
         let inputs = synth_inputs(&g, 9);
-        let (_, db) =
-            run_parallel_profiled(&g, &clustering, &inputs, &ExecCtx::sequential()).unwrap();
+        let (_, db) = run_hyper_profiled_opts(
+            &g,
+            &hypercluster(&clustering, 1),
+            std::slice::from_ref(&inputs),
+            &ExecCtx::sequential(),
+            &RunOptions::default(),
+        )
+        .unwrap();
         let stats = db.channels();
         assert!(!stats.is_empty(), "expected cross-cluster traffic");
         let bytes: u64 = stats.iter().map(|c| c.bytes).sum();
@@ -882,7 +798,8 @@ mod tests {
         let opts = RunOptions::default().init_values(Arc::clone(&iv));
         let a = run_parallel_opts(&g, &clustering, &inputs, &ctx, &opts).unwrap();
         let b = run_parallel_opts(&g, &clustering, &inputs, &ctx, &opts).unwrap();
-        let fresh = run_parallel(&g, &clustering, &inputs, &ctx).unwrap();
+        let fresh =
+            run_parallel_opts(&g, &clustering, &inputs, &ctx, &RunOptions::default()).unwrap();
         // Same table, same inputs, deterministic kernels → identical envs.
         assert_eq!(a, b);
         assert_eq!(a, fresh);
@@ -896,8 +813,14 @@ mod tests {
         let g = synthetic::fork_join(3, 2, 2);
         let clustering = cluster_graph(&g, &StaticCost);
         let inputs = synth_inputs(&g, 1);
-        let (_, db) =
-            run_parallel_profiled(&g, &clustering, &inputs, &ExecCtx::sequential()).unwrap();
+        let (_, db) = run_hyper_profiled_opts(
+            &g,
+            &hypercluster(&clustering, 1),
+            std::slice::from_ref(&inputs),
+            &ExecCtx::sequential(),
+            &RunOptions::default(),
+        )
+        .unwrap();
         assert_eq!(db.records().len(), g.num_nodes());
         // end >= start for every record
         assert!(db.records().iter().all(|r| r.end_ns >= r.start_ns));
@@ -930,7 +853,14 @@ mod tests {
             switched: true,
         };
         let inputs = vec![synth_inputs(&g, 0), synth_inputs(&g, 1)];
-        let err = run_hyper(&g, &hc, &inputs, &ExecCtx::sequential()).unwrap_err();
+        let err = run_hyper_opts(
+            &g,
+            &hc,
+            &inputs,
+            &ExecCtx::sequential(),
+            &RunOptions::default(),
+        )
+        .unwrap_err();
         assert_eq!(err.code(), "RT-SETUP");
         assert!(err.to_string().contains("unassigned"), "unexpected: {err}");
     }
@@ -961,7 +891,7 @@ mod tests {
         hc.check_coverage(2).unwrap();
         let inputs = vec![synth_inputs(&g, 0), synth_inputs(&g, 1)];
         let ctx = ExecCtx::sequential();
-        let outs = run_hyper(&g, &hc, &inputs, &ctx).unwrap();
+        let outs = run_hyper_opts(&g, &hc, &inputs, &ctx, &RunOptions::default()).unwrap();
         for (b_i, inp) in inputs.iter().enumerate() {
             let seq = crate::exec::run_sequential(&g, inp, &ctx).unwrap();
             assert_eq!(seq, outs[b_i]);
@@ -974,7 +904,14 @@ mod tests {
         let clustering = cluster_graph(&g, &StaticCost);
         let hc = ramiel_cluster::hypercluster(&clustering, 2);
         let inputs = vec![synth_inputs(&g, 0)]; // only 1 env for batch 2
-        let err = run_hyper(&g, &hc, &inputs, &ExecCtx::sequential()).unwrap_err();
+        let err = run_hyper_opts(
+            &g,
+            &hc,
+            &inputs,
+            &ExecCtx::sequential(),
+            &RunOptions::default(),
+        )
+        .unwrap_err();
         assert_eq!(err.code(), "RT-SETUP");
     }
 

@@ -40,8 +40,8 @@ pub struct ProfileDb {
     /// Offset of this run's epoch on the exporting [`ramiel_obs::Obs`]
     /// timeline (0 when no enabled sink was attached to the run).
     epoch_offset_ns: u64,
-    /// Kernel backend the profiled run executed with (`"scalar"`, `"simd"`,
-    /// `"quant-i8"`). Carried into [`Self::measured_cost`] so reclustering
+    /// Kernel backend the profiled run executed with (`"scalar"` or
+    /// `"simd"`). Carried into [`Self::measured_cost`] so reclustering
     /// decisions know which backend the node times price.
     backend: Option<String>,
 }

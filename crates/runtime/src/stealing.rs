@@ -38,7 +38,7 @@
 //! shared `init_values`), MemGauge accounting identical to the
 //! [`crate::reuse::Liveness`] model (so the analyze first-ready resident-sum
 //! bound stays sound), supervisor retry/fallback
-//! ([`crate::supervisor::run_stealing_supervised_opts`]), and batch
+//! ([`crate::supervisor::run_supervised`]), and batch
 //! execution for serve. `FaultKind::DropMessage` is a no-op here, as in the
 //! sequential executor: there are no channels to drop from.
 
@@ -74,7 +74,7 @@ fn mix64(mut x: u64) -> u64 {
 /// order, occasional diversion to the global injector). The *plan* is a
 /// pure function of the seed; the resulting interleaving still varies with
 /// OS scheduling, which is exactly what the harness wants to stress.
-/// Ignored by every executor except [`run_stealing`].
+/// Ignored by every executor except [`run_stealing_opts`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StealChaos {
     pub seed: u64,
@@ -306,7 +306,6 @@ impl JobInner {
         opts: &RunOptions,
         deadline: Instant,
     ) -> JobInner {
-        let ctx = &opts.apply_backend(ctx);
         let pending = (0..plan.batch)
             .flat_map(|_| plan.nodes.iter().map(|n| AtomicU32::new(n.preds)))
             .collect();
@@ -973,8 +972,9 @@ impl PoolShared {
 }
 
 /// A persistent work-stealing pool. One process-wide instance
-/// ([`StealPool::global`]) serves every `run_stealing*` call — no per-run
-/// thread spawn — but private pools can be built for tests.
+/// ([`StealPool::global`]) serves every `run_stealing_opts` and
+/// `run_hyper_stealing_opts` call — no per-run thread spawn — but private
+/// pools can be built for tests.
 pub struct StealPool {
     shared: Arc<PoolShared>,
     handles: Vec<std::thread::JoinHandle<()>>,
@@ -1258,16 +1258,6 @@ impl Drop for StealPool {
 
 /// Execute a batch-1 run on the global work-stealing pool, using the
 /// clustering only as locality hints. Returns the graph outputs.
-pub fn run_stealing(
-    graph: &Graph,
-    clustering: &Clustering,
-    inputs: &Env,
-    ctx: &ExecCtx,
-) -> Result<Env> {
-    run_stealing_opts(graph, clustering, inputs, ctx, &RunOptions::default())
-}
-
-/// [`run_stealing`] with explicit [`RunOptions`].
 pub fn run_stealing_opts(
     graph: &Graph,
     clustering: &Clustering,
@@ -1282,16 +1272,6 @@ pub fn run_stealing_opts(
 
 /// Execute a hyperclustered batch on the global work-stealing pool
 /// (hypercluster assignments become per-(batch, node) locality hints).
-pub fn run_hyper_stealing(
-    graph: &Graph,
-    hc: &HyperClustering,
-    inputs: &[Env],
-    ctx: &ExecCtx,
-) -> Result<Vec<Env>> {
-    run_hyper_stealing_opts(graph, hc, inputs, ctx, &RunOptions::default())
-}
-
-/// [`run_hyper_stealing`] with explicit [`RunOptions`].
 pub fn run_hyper_stealing_opts(
     graph: &Graph,
     hc: &HyperClustering,
@@ -1321,7 +1301,7 @@ mod tests {
             let clustering = cluster_graph(&g, &StaticCost);
             let inputs = synth_inputs(&g, 5);
             let seq = run_sequential(&g, &inputs, &ctx).unwrap();
-            let steal = run_stealing(&g, &clustering, &inputs, &ctx)
+            let steal = run_stealing_opts(&g, &clustering, &inputs, &ctx, &RunOptions::default())
                 .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
             assert_eq!(seq, steal, "{}", kind.name());
         }
@@ -1334,10 +1314,24 @@ mod tests {
         let ctx = ExecCtx::sequential();
         let hc = switched_hypercluster(&clustering, 3);
         let inputs: Vec<Env> = (0..3).map(|b| synth_inputs(&g, 60 + b as u64)).collect();
-        let outs = run_hyper_stealing(&g, &hc, &inputs, &ctx).unwrap();
+        let outs = run_hyper_stealing_opts(&g, &hc, &inputs, &ctx, &RunOptions::default()).unwrap();
         for (b, inp) in inputs.iter().enumerate() {
             let seq = run_sequential(&g, inp, &ctx).unwrap();
             assert_eq!(seq, outs[b], "batch {b}");
+        }
+    }
+
+    #[test]
+    fn batch1_hyper_plan_has_the_clustering_hints() {
+        // Batch-1 callers may build either plan; the hints must agree.
+        let cfg = ModelConfig::tiny();
+        for kind in ModelKind::all() {
+            let g = build(kind, &cfg);
+            let clustering = cluster_graph(&g, &StaticCost);
+            let direct = StealPlan::new(&g, &clustering, 1).unwrap();
+            let hyper =
+                StealPlan::from_hyper(&g, &ramiel_cluster::hypercluster(&clustering, 1)).unwrap();
+            assert_eq!(direct.hints, hyper.hints, "{kind:?}");
         }
     }
 
@@ -1436,7 +1430,7 @@ mod tests {
         let gauge = MemGauge::new();
         let ctx = ExecCtx::sequential().with_mem_gauge(gauge.clone());
         let inputs = synth_inputs(&g, 5);
-        run_stealing(&g, &clustering, &inputs, &ctx).unwrap();
+        run_stealing_opts(&g, &clustering, &inputs, &ctx, &RunOptions::default()).unwrap();
         assert_eq!(gauge.live_bytes(), 0);
         assert!(gauge.peak_bytes() > 0);
     }
@@ -1492,7 +1486,14 @@ mod tests {
         let clustering = cluster_graph(&g, &StaticCost);
         let hc = ramiel_cluster::hypercluster(&clustering, 2);
         let inputs = vec![synth_inputs(&g, 0)];
-        let err = run_hyper_stealing(&g, &hc, &inputs, &ExecCtx::sequential()).unwrap_err();
+        let err = run_hyper_stealing_opts(
+            &g,
+            &hc,
+            &inputs,
+            &ExecCtx::sequential(),
+            &RunOptions::default(),
+        )
+        .unwrap_err();
         assert_eq!(err.code(), "RT-SETUP");
     }
 }

@@ -22,15 +22,14 @@
 //!    to catch.
 
 use crate::exec::run_sequential_opts;
-use crate::fault::{panic_to_error, Fault, FaultInjector};
+use crate::fault::{panic_to_error, Fault};
 use crate::parallel::{run_hyper_opts, RunOptions};
+use crate::stealing::run_hyper_stealing_opts;
 use crate::{Env, Result, RuntimeError};
 use ramiel_cluster::hyper::HyperClustering;
-use ramiel_cluster::Clustering;
 use ramiel_ir::Graph;
 use ramiel_tensor::ExecCtx;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Supervision policy knobs.
@@ -90,121 +89,48 @@ pub struct RunReport {
     pub faults_fired: Vec<Fault>,
 }
 
-/// Supervised batch-1 parallel run over a clustering.
+/// The parallel executor a supervised run attempts before it falls back to
+/// the sequential one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Executor {
+    /// One thread per (hyper)cluster with channels between them: the
+    /// paper's reproduction.
+    Channel,
+    /// The process-wide work-stealing pool, clusters as locality hints.
+    Stealing,
+}
+
+impl Executor {
+    /// Parse a CLI spelling (`--executor <channel|stealing>`).
+    pub fn parse(s: &str) -> Option<Executor> {
+        match s {
+            "channel" | "parallel" => Some(Executor::Channel),
+            "stealing" => Some(Executor::Stealing),
+            _ => None,
+        }
+    }
+}
+
+/// Supervised run of a hyperclustered schedule on `exec`: retry with
+/// bounded backoff while failures are retryable, then fall back to
+/// per-batch-element sequential execution. Batch-1 callers pass
+/// `hypercluster(c, 1)`. A caller-supplied `opts.init_values` table is
+/// reused across every attempt **and** the fallback, so supervision never
+/// rebuilds (deep-copies) the weights. Returns the outcome plus a
+/// [`RunReport`].
 pub fn run_supervised(
+    exec: Executor,
     graph: &Graph,
-    clustering: &Clustering,
-    inputs: &Env,
+    hc: &HyperClustering,
+    inputs: &[Env],
     ctx: &ExecCtx,
-    injector: Option<Arc<FaultInjector>>,
+    opts: &RunOptions,
     cfg: &SupervisorConfig,
-) -> (Result<Env>, RunReport) {
-    let opts = RunOptions {
-        injector,
-        ..RunOptions::default()
+) -> (Result<Vec<Env>>, RunReport) {
+    let attempt = |o: &RunOptions| match exec {
+        Executor::Channel => run_hyper_opts(graph, hc, inputs, ctx, o),
+        Executor::Stealing => run_hyper_stealing_opts(graph, hc, inputs, ctx, o),
     };
-    run_supervised_opts(graph, clustering, inputs, ctx, &opts, cfg)
-}
-
-/// [`run_supervised`] with explicit [`RunOptions`] (shared initializer
-/// table, obs sink, recv timeout).
-pub fn run_supervised_opts(
-    graph: &Graph,
-    clustering: &Clustering,
-    inputs: &Env,
-    ctx: &ExecCtx,
-    opts: &RunOptions,
-    cfg: &SupervisorConfig,
-) -> (Result<Env>, RunReport) {
-    let hc = ramiel_cluster::hypercluster(clustering, 1);
-    let (res, report) =
-        run_hyper_supervised_opts(graph, &hc, std::slice::from_ref(inputs), ctx, opts, cfg);
-    (
-        res.map(|mut outs| outs.pop().expect("batch 1 yields one output env")),
-        report,
-    )
-}
-
-/// Supervised hyperclustered run: retry with backoff, then sequential
-/// fallback per batch element. Returns the outcome plus a [`RunReport`].
-pub fn run_hyper_supervised(
-    graph: &Graph,
-    hc: &HyperClustering,
-    inputs: &[Env],
-    ctx: &ExecCtx,
-    injector: Option<Arc<FaultInjector>>,
-    cfg: &SupervisorConfig,
-) -> (Result<Vec<Env>>, RunReport) {
-    let opts = RunOptions {
-        injector,
-        ..RunOptions::default()
-    };
-    run_hyper_supervised_opts(graph, hc, inputs, ctx, &opts, cfg)
-}
-
-/// [`run_hyper_supervised`] with explicit [`RunOptions`]. A caller-supplied
-/// `init_values` table is reused across every attempt **and** the sequential
-/// fallback — serving callers hold the plan's table for the process
-/// lifetime, so supervision never rebuilds (deep-copies) the weights.
-pub fn run_hyper_supervised_opts(
-    graph: &Graph,
-    hc: &HyperClustering,
-    inputs: &[Env],
-    ctx: &ExecCtx,
-    opts: &RunOptions,
-    cfg: &SupervisorConfig,
-) -> (Result<Vec<Env>>, RunReport) {
-    supervise(graph, inputs, ctx, opts, cfg, |o| {
-        run_hyper_opts(graph, hc, inputs, ctx, o)
-    })
-}
-
-/// Supervised batch-1 run on the work-stealing executor: same retry /
-/// backoff / sequential-fallback policy as the channel executors. The
-/// stealing executor reports the same structured `RuntimeError`s, so the
-/// retryability classification carries over unchanged.
-pub fn run_stealing_supervised_opts(
-    graph: &Graph,
-    clustering: &Clustering,
-    inputs: &Env,
-    ctx: &ExecCtx,
-    opts: &RunOptions,
-    cfg: &SupervisorConfig,
-) -> (Result<Env>, RunReport) {
-    let (res, report) = supervise(graph, std::slice::from_ref(inputs), ctx, opts, cfg, |o| {
-        crate::stealing::run_stealing_opts(graph, clustering, inputs, ctx, o).map(|out| vec![out])
-    });
-    (
-        res.map(|mut outs| outs.pop().expect("batch 1 yields one output env")),
-        report,
-    )
-}
-
-/// Supervised hyper-batch run on the work-stealing executor.
-pub fn run_hyper_stealing_supervised_opts(
-    graph: &Graph,
-    hc: &HyperClustering,
-    inputs: &[Env],
-    ctx: &ExecCtx,
-    opts: &RunOptions,
-    cfg: &SupervisorConfig,
-) -> (Result<Vec<Env>>, RunReport) {
-    supervise(graph, inputs, ctx, opts, cfg, |o| {
-        crate::stealing::run_hyper_stealing_opts(graph, hc, inputs, ctx, o)
-    })
-}
-
-/// The shared supervision core: retry `attempt` with bounded backoff while
-/// failures are retryable, then fall back to per-batch-element sequential
-/// execution. Every executor variant plugs in via the `attempt` closure.
-fn supervise(
-    graph: &Graph,
-    inputs: &[Env],
-    ctx: &ExecCtx,
-    opts: &RunOptions,
-    cfg: &SupervisorConfig,
-    attempt: impl Fn(&RunOptions) -> Result<Vec<Env>>,
-) -> (Result<Vec<Env>>, RunReport) {
     let mut opts = opts.clone();
     if opts.recv_timeout.is_none() {
         opts.recv_timeout = cfg.recv_timeout;
@@ -303,10 +229,25 @@ fn supervise(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultKind, FaultPlan};
+    use crate::fault::{FaultInjector, FaultKind, FaultPlan};
     use crate::{run_sequential, synth_inputs};
-    use ramiel_cluster::{cluster_graph, StaticCost};
+    use ramiel_cluster::{cluster_graph, hypercluster, StaticCost};
     use ramiel_models::synthetic;
+    use std::sync::Arc;
+
+    /// Supervised batch-1 run on the channel executor.
+    fn supervised(
+        g: &Graph,
+        inputs: &Env,
+        opts: &RunOptions,
+        cfg: &SupervisorConfig,
+    ) -> (Result<Env>, RunReport) {
+        let hc = hypercluster(&cluster_graph(g, &StaticCost), 1);
+        let ctx = ExecCtx::sequential();
+        let inputs = std::slice::from_ref(inputs);
+        let (res, report) = run_supervised(Executor::Channel, g, &hc, inputs, &ctx, opts, cfg);
+        (res.map(|mut outs| outs.remove(0)), report)
+    }
 
     fn quiet_injected_panics() {
         use std::sync::Once;
@@ -341,7 +282,6 @@ mod tests {
     #[test]
     fn retry_recovers_from_injected_kernel_fault() {
         let g = synthetic::fork_join(4, 3, 3);
-        let clustering = cluster_graph(&g, &StaticCost);
         let inputs = synth_inputs(&g, 11);
         let ctx = ExecCtx::sequential();
         let expect = run_sequential(&g, &inputs, &ctx).unwrap();
@@ -353,7 +293,7 @@ mod tests {
             recv_timeout: Some(Duration::from_secs(5)),
             ..Default::default()
         };
-        let (res, report) = run_supervised(&g, &clustering, &inputs, &ctx, Some(inj), &cfg);
+        let (res, report) = supervised(&g, &inputs, &RunOptions::with_injector(inj), &cfg);
         assert_eq!(res.unwrap(), expect);
         assert_eq!(report.attempts, 2);
         assert!(!report.fell_back);
@@ -365,7 +305,6 @@ mod tests {
     fn fallback_recovers_when_retries_exhausted() {
         quiet_injected_panics();
         let g = synthetic::fork_join(4, 3, 3);
-        let clustering = cluster_graph(&g, &StaticCost);
         let inputs = synth_inputs(&g, 4);
         let ctx = ExecCtx::sequential();
         let expect = run_sequential(&g, &inputs, &ctx).unwrap();
@@ -394,7 +333,7 @@ mod tests {
             recv_timeout: Some(Duration::from_secs(5)),
             ..Default::default()
         };
-        let (res, report) = run_supervised(&g, &clustering, &inputs, &ctx, Some(inj), &cfg);
+        let (res, report) = supervised(&g, &inputs, &RunOptions::with_injector(inj), &cfg);
         assert_eq!(res.unwrap(), expect);
         assert_eq!(report.attempts, 2);
         assert!(report.fell_back);
@@ -412,15 +351,13 @@ mod tests {
         let y = b.op("g", OpKind::Gather { axis: 0 }, vec![x, idx]);
         b.output(&y);
         let g = b.finish().unwrap();
-        let clustering = cluster_graph(&g, &StaticCost);
         let inputs = synth_inputs(&g, 1);
         let cfg = SupervisorConfig {
             max_retries: 3,
             fallback: true,
             ..Default::default()
         };
-        let (res, report) =
-            run_supervised(&g, &clustering, &inputs, &ExecCtx::sequential(), None, &cfg);
+        let (res, report) = supervised(&g, &inputs, &RunOptions::default(), &cfg);
         let err = res.unwrap_err();
         assert_eq!(err.code(), "RT-KERNEL");
         assert_eq!(report.attempts, 1, "deterministic errors must not retry");
@@ -431,7 +368,6 @@ mod tests {
     fn opts_variant_reuses_caller_init_table_through_fallback() {
         quiet_injected_panics();
         let g = synthetic::fork_join(4, 3, 3);
-        let clustering = cluster_graph(&g, &StaticCost);
         let inputs = synth_inputs(&g, 4);
         let ctx = ExecCtx::sequential();
         let expect = run_sequential(&g, &inputs, &ctx).unwrap();
@@ -464,7 +400,7 @@ mod tests {
             fallback: true,
             ..Default::default()
         };
-        let (res, report) = run_supervised_opts(&g, &clustering, &inputs, &ctx, &opts, &cfg);
+        let (res, report) = supervised(&g, &inputs, &opts, &cfg);
         assert_eq!(res.unwrap(), expect);
         assert!(report.fell_back);
         // The shared table is still ours alone once the run finished: no

@@ -442,7 +442,6 @@ fn execute_batch(sh: &LaneShared, batch: Vec<Request>) {
         reuse: true,
         steal_chaos: None,
         request_ids: Some(Arc::clone(&ids)),
-        backend: sh.cfg.backend,
     };
     let n = live.len();
     sh.stats.record_batch(n);

@@ -14,7 +14,7 @@ use parking_lot::Mutex;
 use ramiel_cluster::{cluster_graph, hypercluster, switched_hypercluster, Clustering, StaticCost};
 use ramiel_ir::Graph;
 use ramiel_runtime::StealPlan;
-use ramiel_tensor::{ExecCtx, Value};
+use ramiel_tensor::{ExecCtx, KernelBackend, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -86,6 +86,7 @@ impl CompiledPlan {
         version: u64,
         spec: PlanSpec,
         intra_op: usize,
+        backend: KernelBackend,
     ) -> Result<CompiledPlan, ServeError> {
         let PlanSpec {
             graph,
@@ -103,7 +104,8 @@ impl CompiledPlan {
             ExecCtx::with_intra_op(intra_op)
         } else {
             ExecCtx::sequential()
-        };
+        }
+        .with_backend(backend);
         let plan = CompiledPlan {
             name: name.to_string(),
             version,
@@ -185,9 +187,10 @@ impl PlanCache {
         name: &str,
         spec: PlanSpec,
         intra_op: usize,
+        backend: KernelBackend,
     ) -> Result<(Arc<CompiledPlan>, Vec<Arc<CompiledPlan>>), ServeError> {
         let version = self.next_version.fetch_add(1, Ordering::Relaxed);
-        let plan = Arc::new(CompiledPlan::build(name, version, spec, intra_op)?);
+        let plan = Arc::new(CompiledPlan::build(name, version, spec, intra_op, backend)?);
         let mut inner = self.inner.lock();
         inner.retain(|p| p.name != name);
         inner.insert(0, Arc::clone(&plan));

@@ -60,9 +60,9 @@ pub struct ServeConfig {
     /// Bound on the in-memory per-request trace ring (`0` disables
     /// tracing; the TCP `trace` verb then returns an empty trace).
     pub trace_capacity: usize,
-    /// Kernel backend every lane runs with (scalar f32, lane-unrolled SIMD
-    /// f32, or quantized i8). `None` keeps the plan context's default.
-    pub backend: Option<ramiel_runtime::KernelBackend>,
+    /// Kernel backend of every plan's [`ramiel_tensor::ExecCtx`] (scalar
+    /// f32 or lane-unrolled SIMD f32).
+    pub backend: ramiel_runtime::KernelBackend,
 }
 
 impl Default for ServeConfig {
@@ -82,7 +82,7 @@ impl Default for ServeConfig {
             obs: Obs::disabled(),
             metrics: Metrics::enabled(),
             trace_capacity: 4096,
-            backend: None,
+            backend: ramiel_runtime::KernelBackend::ScalarF32,
         }
     }
 }
@@ -100,7 +100,6 @@ pub(crate) struct LaneConfig {
     pub injector: Option<Arc<FaultInjector>>,
     pub obs: Obs,
     pub metrics: Metrics,
-    pub backend: Option<ramiel_runtime::KernelBackend>,
     /// Server-wide trace ring shared by every lane (`None` = disabled).
     pub trace: Option<Arc<TraceRing>>,
     /// Timebase for trace-ring nanosecond offsets.
@@ -119,7 +118,6 @@ impl ServeConfig {
             injector: self.injector.clone(),
             obs: self.obs.clone(),
             metrics: self.metrics.clone(),
-            backend: self.backend,
             trace,
             epoch,
         }
@@ -140,6 +138,8 @@ pub enum ServeError {
     ShuttingDown,
     /// Execution failed (post-retry, post-fallback).
     Runtime(RuntimeError),
+    /// A TCP request frame passed the per-connection length cap.
+    FrameTooLong { limit: usize },
     /// Serving-layer invariant violation.
     Internal(String),
 }
@@ -152,6 +152,7 @@ impl ServeError {
             ServeError::DeadlineExceeded { .. } => "SV-DEADLINE",
             ServeError::ShuttingDown => "SV-SHUTDOWN",
             ServeError::Runtime(e) => e.code(),
+            ServeError::FrameTooLong { .. } => "SV-FRAME",
             ServeError::Internal(_) => "SV-INTERNAL",
         }
     }
@@ -169,6 +170,9 @@ impl std::fmt::Display for ServeError {
             }
             ServeError::ShuttingDown => write!(f, "server shutting down"),
             ServeError::Runtime(e) => write!(f, "{e}"),
+            ServeError::FrameTooLong { limit } => {
+                write!(f, "request frame longer than {limit} bytes")
+            }
             ServeError::Internal(m) => write!(f, "serving error: {m}"),
         }
     }
@@ -250,7 +254,9 @@ impl Server {
         if self.shutting_down.load(Ordering::SeqCst) {
             return Err(ServeError::ShuttingDown);
         }
-        let (plan, evicted) = self.cache.load(name, spec, self.cfg.intra_op)?;
+        let (plan, evicted) = self
+            .cache
+            .load(name, spec, self.cfg.intra_op, self.cfg.backend)?;
         // Tear down evicted lanes *outside* the map lock (drain can block).
         let mut torn_down: Vec<Lane> = Vec::new();
         {

@@ -24,7 +24,9 @@
 //!
 //! Response: `{"id":1,"ok":true,...}` with `outputs` / `stats` on success,
 //! `error` + `code` (SV-*/RT-*) on failure. `model` is optional everywhere
-//! and defaults to the model the server was started with.
+//! and defaults to the model the server was started with. A request frame
+//! longer than [`MAX_FRAME_BYTES`] is answered with `SV-FRAME` and the
+//! connection closes.
 
 use crate::plan::PlanSpec;
 use crate::registry::Registry;
@@ -34,7 +36,7 @@ use ramiel_runtime::Env;
 use ramiel_tensor::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -178,8 +180,17 @@ pub(crate) fn setup_conn(stream: TcpStream) -> std::io::Result<TcpStream> {
     Ok(stream)
 }
 
+/// Longest request frame a connection may send, newline excluded. An
+/// `infer` frame for any built-in model at full size is a few hundred KiB
+/// at most (one 1×3×32×32 f32 input), and a 1×3×224×224 f32 image frame
+/// is a few MiB; the cap sits well above both while bounding what one
+/// connection can make the server buffer.
+pub const MAX_FRAME_BYTES: usize = 16 << 20;
+
 /// Serve one connection; returns true if the client requested shutdown.
-fn handle_conn(
+/// A frame longer than [`MAX_FRAME_BYTES`] gets an `SV-FRAME` error
+/// response and the connection closes.
+pub(crate) fn handle_conn(
     server: &Server,
     default_model: &str,
     registry: Option<&Registry>,
@@ -189,28 +200,38 @@ fn handle_conn(
         Ok(w) => w,
         Err(_) => return false,
     };
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(_) => break, // client hung up
-        };
-        if line.trim().is_empty() {
+    let mut reader = BufReader::new(stream);
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        let limit = MAX_FRAME_BYTES as u64 + 1;
+        match (&mut reader).take(limit).read_until(b'\n', &mut line) {
+            Ok(0) | Err(_) => break, // client hung up
+            Ok(_) => {}
+        }
+        if line.last() == Some(&b'\n') {
+            line.pop();
+        } else if line.len() > MAX_FRAME_BYTES {
+            let err = ServeError::FrameTooLong {
+                limit: MAX_FRAME_BYTES,
+            };
+            let _ = write_response(&mut writer, &WireResponse::err(0, &err));
+            break;
+        }
+        if line.iter().all(u8::is_ascii_whitespace) {
             continue;
         }
-        let (resp, shutdown) = match serde_json::from_str::<WireRequest>(&line) {
+        let parsed = std::str::from_utf8(&line)
+            .map_err(|e| e.to_string())
+            .and_then(|l| serde_json::from_str::<WireRequest>(l).map_err(|e| e.to_string()));
+        let (resp, shutdown) = match parsed {
             Ok(req) => handle_request(server, default_model, registry, req),
             Err(e) => (
                 WireResponse::err(0, &ServeError::Internal(format!("bad request: {e}"))),
                 false,
             ),
         };
-        let mut out = serde_json::to_string(&resp).unwrap_or_else(|_| {
-            r#"{"id":0,"ok":false,"error":"response serialization failed","code":"SV-INTERNAL"}"#
-                .to_string()
-        });
-        out.push('\n');
-        if writer.write_all(out.as_bytes()).is_err() || writer.flush().is_err() {
+        if write_response(&mut writer, &resp).is_err() {
             break;
         }
         if shutdown {
@@ -218,6 +239,17 @@ fn handle_conn(
         }
     }
     false
+}
+
+/// Write one response frame and flush it.
+fn write_response(writer: &mut TcpStream, resp: &WireResponse) -> std::io::Result<()> {
+    let mut out = serde_json::to_string(resp).unwrap_or_else(|_| {
+        r#"{"id":0,"ok":false,"error":"response serialization failed","code":"SV-INTERNAL"}"#
+            .to_string()
+    });
+    out.push('\n');
+    writer.write_all(out.as_bytes())?;
+    writer.flush()
 }
 
 fn handle_request(

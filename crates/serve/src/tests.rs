@@ -168,6 +168,31 @@ fn accepted_connections_disable_nagle() {
 }
 
 #[test]
+fn over_cap_frames_get_a_structured_error_and_close() {
+    let server = Server::new(small_cfg());
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+    let (accepted, _) = listener.accept().unwrap();
+    let conn = std::thread::spawn(move || crate::tcp::handle_conn(&server, "m", None, accepted));
+    // One newline-free frame, a byte past the cap.
+    let chunk = vec![b'a'; 1 << 16];
+    let mut left = crate::tcp::MAX_FRAME_BYTES + 1;
+    while left > 0 {
+        let n = left.min(chunk.len());
+        client.write_all(&chunk[..n]).unwrap();
+        left -= n;
+    }
+    let mut reader = BufReader::new(client);
+    let mut resp = String::new();
+    reader.read_line(&mut resp).unwrap();
+    let resp: serde_json::Value = serde_json::from_str(&resp).unwrap();
+    assert_eq!(resp.get("code").and_then(|c| c.as_str()), Some("SV-FRAME"));
+    assert!(!conn.join().unwrap(), "an over-cap frame is not a shutdown");
+    let mut rest = String::new();
+    assert_eq!(reader.read_line(&mut rest).unwrap(), 0, "connection closed");
+}
+
+#[test]
 fn tcp_round_trip_ping_infer_stats_shutdown() {
     let g = synthetic::fork_join(2, 2, 2);
     let server = Arc::new(Server::new(small_cfg()));

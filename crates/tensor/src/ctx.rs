@@ -69,17 +69,11 @@ pub type KernelHook = Arc<dyn Fn(&OpKind) -> Option<String> + Send + Sync>;
 ///   same ascending-`k` sequence as the scalar kernels, so results are
 ///   **bit-identical** to `ScalarF32` and the cross-executor equivalence
 ///   suites hold unchanged.
-/// * [`QuantI8`](KernelBackend::QuantI8) — per-tensor symmetric i8
-///   quantization (`kernels::quant`): weights are quantized once per plan,
-///   activations at the kernel edge, accumulation is exact i32, outputs are
-///   dequantized to f32. Numerically *close to* but not identical to f32;
-///   it has its own tolerance-based conformance contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelBackend {
     #[default]
     ScalarF32,
     SimdF32,
-    QuantI8,
 }
 
 impl KernelBackend {
@@ -88,27 +82,21 @@ impl KernelBackend {
         match self {
             KernelBackend::ScalarF32 => "scalar",
             KernelBackend::SimdF32 => "simd",
-            KernelBackend::QuantI8 => "quant-i8",
         }
     }
 
-    /// Parse a CLI spelling (`--backend <scalar|simd|quant-i8>`).
+    /// Parse a CLI spelling (`--backend <scalar|simd>`).
     pub fn parse(s: &str) -> Option<KernelBackend> {
         match s {
             "scalar" | "scalar-f32" | "f32" => Some(KernelBackend::ScalarF32),
             "simd" | "simd-f32" => Some(KernelBackend::SimdF32),
-            "quant-i8" | "quant" | "i8" => Some(KernelBackend::QuantI8),
             _ => None,
         }
     }
 
     /// All backends, in the order benches and tables report them.
-    pub fn all() -> [KernelBackend; 3] {
-        [
-            KernelBackend::ScalarF32,
-            KernelBackend::SimdF32,
-            KernelBackend::QuantI8,
-        ]
+    pub fn all() -> [KernelBackend; 2] {
+        [KernelBackend::ScalarF32, KernelBackend::SimdF32]
     }
 }
 
@@ -203,8 +191,7 @@ impl ExecCtx {
     }
 
     /// Same context with a different kernel backend. The packed-weight cache
-    /// stays shared — f32-packed and i8-quantized entries live in separate
-    /// maps, so switching back and forth never poisons either.
+    /// stays shared: both backends read the same f32 `[k, n]` layout.
     pub fn with_backend(&self, backend: KernelBackend) -> Self {
         ExecCtx {
             pool: self.pool.clone(),
@@ -342,7 +329,7 @@ mod tests {
         for b in KernelBackend::all() {
             assert_eq!(KernelBackend::parse(b.name()), Some(b));
         }
-        assert_eq!(KernelBackend::parse("quant"), Some(KernelBackend::QuantI8));
+        assert_eq!(KernelBackend::parse("quant-i8"), None);
         assert_eq!(KernelBackend::parse("avx-512"), None);
     }
 

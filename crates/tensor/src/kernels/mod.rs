@@ -11,6 +11,5 @@ pub mod gemm;
 pub mod movement;
 pub mod norm;
 pub mod pool;
-pub mod quant;
 pub mod reduce;
 pub mod simd;

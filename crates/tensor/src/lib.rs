@@ -21,7 +21,7 @@ pub mod value;
 
 pub use ctx::{ExecCtx, KernelBackend, MemGauge};
 pub use eval::{eval_op, eval_op_inplace};
-pub use pack::{PackedWeightCache, QuantWeight};
+pub use pack::PackedWeightCache;
 pub use tensor::Tensor;
 pub use value::Value;
 

@@ -8,7 +8,7 @@
 
 use ramiel::{compile, PipelineOptions};
 use ramiel_models::{build, ModelConfig, ModelKind};
-use ramiel_runtime::{run_parallel, run_sequential, synth_inputs};
+use ramiel_runtime::{run_parallel_opts, run_sequential, synth_inputs, RunOptions};
 use ramiel_tensor::ExecCtx;
 use std::time::Instant;
 
@@ -42,8 +42,14 @@ fn main() {
     let seq_ms = t.elapsed().as_secs_f64() * 1e3;
 
     let t = Instant::now();
-    let par =
-        run_parallel(&compiled.graph, &compiled.clustering, &inputs, &ctx).expect("parallel run");
+    let par = run_parallel_opts(
+        &compiled.graph,
+        &compiled.clustering,
+        &inputs,
+        &ctx,
+        &RunOptions::default(),
+    )
+    .expect("parallel run");
     let par_ms = t.elapsed().as_secs_f64() * 1e3;
 
     assert_eq!(

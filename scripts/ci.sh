@@ -15,6 +15,13 @@ cargo clippy --all-targets --offline -- -D warnings
 echo "==> cargo test"
 cargo test --offline
 
+# The benchmark harness is a package of its own outside the workspace, so
+# the steps above never compile it. Build it and run its unit tests here so
+# an API change it depends on fails CI instead of the benchmark run.
+echo "==> perfbench build + unit tests"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --offline --manifest-path perfbench/Cargo.toml
+
 # Hostile-dims probe in release: with overflow checks off, an unchecked
 # element count wraps instead of panicking, so this is the mode where a
 # model whose dims multiply past usize used to import as OK.
@@ -25,7 +32,10 @@ cargo test --release --offline -p ramiel-onnx --test overflow_probe
 # failure paths (worker panics, dropped messages, timeouts). Their contract
 # is bounded termination, so a hang IS the regression — run them again
 # standalone under a hard wall-clock limit that turns a wedge into a
-# failing exit code instead of a stuck CI job.
+# failing exit code instead of a stuck CI job. The executor matrices run
+# under the scalar `ExecCtx::sequential()`; SIMD coverage is the one
+# `simd_backend_is_bit_identical_to_scalar_on_all_models` case in the
+# differential suite (sequential and stealing, bit-for-bit against scalar).
 echo "==> chaos + differential suites (10 min wall-clock cap)"
 timeout --kill-after=30s 600s \
     cargo test --offline -p ramiel --test differential --test chaos
@@ -42,17 +52,6 @@ echo "==> steal conformance gate (seeded, ${RAMIEL_CONFORMANCE_CASES:-250} cases
 RAMIEL_CONFORMANCE_CASES="${RAMIEL_CONFORMANCE_CASES:-250}" \
     timeout --kill-after=30s 600s \
     cargo test --offline -p ramiel --test steal_conformance
-
-# Kernel-backend conformance gate. The f32 SIMD backend is covered by the
-# differential suite above (it is bit-identical to scalar by construction,
-# so the differential matrix exercises it unchanged); the i8 quantized
-# backend has a different contract — tolerance-close to f32, bit-identical
-# *across executors* — pinned by its own suite on all 8 model generators.
-# Same hard timeout discipline: a wedged executor under QuantI8 is a
-# failing exit code, not a stuck job.
-echo "==> quant backend conformance gate (8 models x executors)"
-timeout --kill-after=30s 600s \
-    cargo test --offline -p ramiel --test quant_conformance
 
 # Observability smoke: `ramiel profile` runs the model on the sequential,
 # channel and hypercluster executors and validates the merged Chrome/Perfetto trace before writing it — a

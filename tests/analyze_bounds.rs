@@ -7,7 +7,7 @@
 //!    mark of an allocation-tracking [`MemGauge`] never exceeds
 //!    `estimate_memory`'s static bound — when the analysis view matches the
 //!    executor's real replay policy (in-order for the sequential walk,
-//!    first-ready for `run_parallel` / `run_hyper`, whose workers may
+//!    first-ready for `run_parallel_opts` / `run_hyper_opts`, whose workers may
 //!    legally reorder around a blocked op, and the estimate-only view for
 //!    work stealing).
 //! 2. Running with `reuse: false` (no in-place rewriting, no eviction) is
@@ -21,9 +21,8 @@ use ramiel_cluster::{
 };
 use ramiel_models::{build, ModelConfig, ModelKind};
 use ramiel_runtime::{
-    run_hyper, run_hyper_opts, run_hyper_stealing_opts, run_parallel, run_parallel_opts,
-    run_sequential, run_sequential_opts, run_stealing, run_stealing_opts, synth_inputs, Env,
-    RunOptions,
+    run_hyper_opts, run_hyper_stealing_opts, run_parallel_opts, run_sequential,
+    run_sequential_opts, run_stealing_opts, synth_inputs, Env, RunOptions,
 };
 use ramiel_tensor::{ExecCtx, MemGauge, Value};
 use ramiel_verify::{ExecPolicy, ScheduleView};
@@ -66,12 +65,12 @@ fn estimate_upper_bounds_measured_peak_on_every_executor() {
         run_sequential(&g, &inputs, &ctx).unwrap();
         assert_bound(model, "sequential", est.peak_bytes, &gauge);
 
-        // run_parallel: cluster-per-worker, first-ready-first replay
+        // run_parallel_opts: cluster-per-worker, first-ready-first replay
         let mut view = clustering_view(&clustering);
         view.policy = ExecPolicy::FirstReady;
         let (est, _) = estimate_memory(&g, &view);
         let (gauge, ctx) = gauge_ctx();
-        run_parallel(&g, &clustering, &inputs, &ctx).unwrap();
+        run_parallel_opts(&g, &clustering, &inputs, &ctx, &RunOptions::default()).unwrap();
         assert_bound(model, "parallel", est.peak_bytes, &gauge);
 
         // work stealing: no static schedule, so the bound comes from the
@@ -80,7 +79,7 @@ fn estimate_upper_bounds_measured_peak_on_every_executor() {
         let (est, _) = estimate_memory(&g, &stealing_view(&g, 1));
         assert!(!est.exact, "stealing view must be estimate-only");
         let (gauge, ctx) = gauge_ctx();
-        run_stealing(&g, &clustering, &inputs, &ctx).unwrap();
+        run_stealing_opts(&g, &clustering, &inputs, &ctx, &RunOptions::default()).unwrap();
         assert_bound(model, "stealing", est.peak_bytes, &gauge);
 
         // hyperclustered batch executors, plain and switched, batch 4
@@ -93,7 +92,7 @@ fn estimate_upper_bounds_measured_peak_on_every_executor() {
             view.policy = ExecPolicy::FirstReady;
             let (est, _) = estimate_memory(&g, &view);
             let (gauge, ctx) = gauge_ctx();
-            run_hyper(&g, &hc, &batch_inputs, &ctx).unwrap();
+            run_hyper_opts(&g, &hc, &batch_inputs, &ctx, &RunOptions::default()).unwrap();
             assert_bound(model, label, est.peak_bytes, &gauge);
         }
 
@@ -237,12 +236,12 @@ mod prop {
             view.policy = ExecPolicy::FirstReady;
             let (est, _) = estimate_memory(&g, &view);
             let (gauge, ctx) = gauge_ctx();
-            run_parallel(&g, &clustering, &inputs, &ctx).unwrap();
+            run_parallel_opts(&g, &clustering, &inputs, &ctx, &RunOptions::default()).unwrap();
             prop_assert!(gauge.peak_bytes() <= est.peak_bytes);
 
             let (est, _) = estimate_memory(&g, &stealing_view(&g, 1));
             let (gauge, ctx) = gauge_ctx();
-            run_stealing(&g, &clustering, &inputs, &ctx).unwrap();
+            run_stealing_opts(&g, &clustering, &inputs, &ctx, &RunOptions::default()).unwrap();
             prop_assert!(gauge.peak_bytes() <= est.peak_bytes);
         }
     }

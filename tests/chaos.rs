@@ -9,16 +9,32 @@
 //! code each fault kind surfaces as.
 
 use proptest::prelude::*;
-use ramiel_cluster::{cluster_graph, Clustering, StaticCost};
+use ramiel_cluster::{cluster_graph, hypercluster, Clustering, StaticCost};
 use ramiel_models::synthetic;
 use ramiel_runtime::{
-    run_parallel_opts, run_sequential, run_sequential_opts, run_stealing_opts,
-    run_stealing_supervised_opts, run_supervised, synth_inputs, FaultInjector, FaultKind,
-    FaultPlan, RunOptions, RuntimeError, SupervisorConfig,
+    run_parallel_opts, run_sequential, run_sequential_opts, run_stealing_opts, run_supervised,
+    synth_inputs, Env, Executor, FaultInjector, FaultKind, FaultPlan, RunOptions, RunReport,
+    RuntimeError, SupervisorConfig,
 };
 use ramiel_tensor::ExecCtx;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Supervised batch-1 run on `exec` with a sequential kernel context.
+fn supervised(
+    exec: Executor,
+    g: &ramiel_ir::Graph,
+    clustering: &Clustering,
+    inputs: &Env,
+    opts: &RunOptions,
+    cfg: &SupervisorConfig,
+) -> (Result<Env, RuntimeError>, RunReport) {
+    let hc = hypercluster(clustering, 1);
+    let ctx = ExecCtx::sequential();
+    let inputs = std::slice::from_ref(inputs);
+    let (res, report) = run_supervised(exec, g, &hc, inputs, &ctx, opts, cfg);
+    (res.map(|mut outs| outs.remove(0)), report)
+}
 
 /// Suppress backtrace spam from *expected* injected panics (they are caught
 /// and converted to errors; the default hook would still print them).
@@ -101,7 +117,14 @@ proptest! {
             recv_timeout: Some(Duration::from_secs(2)),
             ..Default::default()
         };
-        let (res, report) = run_supervised(&g, &clustering, &inputs, &ctx, Some(inj), &cfg);
+        let (res, report) = supervised(
+            Executor::Channel,
+            &g,
+            &clustering,
+            &inputs,
+            &RunOptions::with_injector(inj),
+            &cfg,
+        );
         prop_assert!(report.attempts >= 1);
         match res {
             Ok(out) => prop_assert_eq!(out, baseline, "fault-free result must match baseline"),
@@ -146,8 +169,7 @@ proptest! {
             recv_timeout: Some(Duration::from_secs(2)),
             ..Default::default()
         };
-        let (res, report) =
-            run_stealing_supervised_opts(&g, &clustering, &inputs, &ctx, &opts, &cfg);
+        let (res, report) = supervised(Executor::Stealing, &g, &clustering, &inputs, &opts, &cfg);
         prop_assert!(report.attempts >= 1);
         match res {
             Ok(out) => prop_assert_eq!(out, baseline, "fault-free result must match baseline"),
@@ -279,14 +301,8 @@ fn golden_supervised_retry_then_success() {
         recv_timeout: Some(Duration::from_secs(5)),
         ..Default::default()
     };
-    let (res, report) = run_supervised(
-        &g,
-        &clustering,
-        &inputs,
-        &ctx,
-        Some(one_fault(0, 0, FaultKind::KernelError)),
-        &cfg,
-    );
+    let opts = RunOptions::with_injector(one_fault(0, 0, FaultKind::KernelError));
+    let (res, report) = supervised(Executor::Channel, &g, &clustering, &inputs, &opts, &cfg);
     assert_eq!(res.unwrap(), expect);
     assert_eq!(report.attempts, 2);
     assert!(!report.fell_back);
@@ -314,7 +330,7 @@ fn golden_stealing_supervised_retry_then_success() {
         recv_timeout: Some(Duration::from_secs(5)),
         ..Default::default()
     };
-    let (res, report) = run_stealing_supervised_opts(&g, &clustering, &inputs, &ctx, &opts, &cfg);
+    let (res, report) = supervised(Executor::Stealing, &g, &clustering, &inputs, &opts, &cfg);
     assert_eq!(res.unwrap(), expect);
     assert_eq!(report.attempts, 2);
     assert!(!report.fell_back);
@@ -341,7 +357,7 @@ fn golden_stealing_fallback_isolates_the_failure() {
         recv_timeout: Some(Duration::from_secs(5)),
         ..Default::default()
     };
-    let (res, report) = run_stealing_supervised_opts(&g, &clustering, &inputs, &ctx, &opts, &cfg);
+    let (res, report) = supervised(Executor::Stealing, &g, &clustering, &inputs, &opts, &cfg);
     assert_eq!(res.unwrap(), expect);
     assert!(report.fell_back, "fallback should have engaged");
     assert_eq!(report.errors[0].code(), "RT-INJECT");

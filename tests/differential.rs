@@ -11,7 +11,8 @@
 use ramiel_cluster::{cluster_graph, hypercluster, switched_hypercluster, StaticCost};
 use ramiel_models::{build, ModelConfig, ModelKind};
 use ramiel_runtime::{
-    run_hyper, run_hyper_stealing, run_parallel, run_sequential, run_stealing, synth_inputs, Env,
+    run_hyper_opts, run_hyper_stealing_opts, run_parallel_opts, run_sequential, run_stealing_opts,
+    synth_inputs, Env, KernelBackend, RunOptions,
 };
 use ramiel_tensor::{ExecCtx, Value};
 
@@ -103,10 +104,10 @@ fn all_executors_conform_on_all_models() {
 
             // per-element executors
             for (b, inp) in inputs.iter().enumerate() {
-                let par = run_parallel(&g, &clustering, inp, &ctx)
+                let par = run_parallel_opts(&g, &clustering, inp, &ctx, &RunOptions::default())
                     .unwrap_or_else(|e| panic!("{model}: parallel b{batch}: {e}"));
                 assert_conforms(&baseline[b], &par, model, "parallel", b);
-                let stolen = run_stealing(&g, &clustering, inp, &ctx)
+                let stolen = run_stealing_opts(&g, &clustering, inp, &ctx, &RunOptions::default())
                     .unwrap_or_else(|e| panic!("{model}: stealing b{batch}: {e}"));
                 assert_conforms(&baseline[b], &stolen, model, "stealing", b);
             }
@@ -116,13 +117,13 @@ fn all_executors_conform_on_all_models() {
                 ("hyper", hypercluster(&clustering, batch)),
                 ("hyper-switched", switched_hypercluster(&clustering, batch)),
             ] {
-                let outs = run_hyper(&g, &hc, &inputs, &ctx)
+                let outs = run_hyper_opts(&g, &hc, &inputs, &ctx, &RunOptions::default())
                     .unwrap_or_else(|e| panic!("{model}: {label} b{batch}: {e}"));
                 assert_eq!(outs.len(), batch, "{model}: {label} output count");
                 for (b, out) in outs.iter().enumerate() {
                     assert_conforms(&baseline[b], out, model, label, b);
                 }
-                let outs = run_hyper_stealing(&g, &hc, &inputs, &ctx)
+                let outs = run_hyper_stealing_opts(&g, &hc, &inputs, &ctx, &RunOptions::default())
                     .unwrap_or_else(|e| panic!("{model}: {label}-stealing b{batch}: {e}"));
                 assert_eq!(outs.len(), batch, "{model}: {label}-stealing output count");
                 for (b, out) in outs.iter().enumerate() {
@@ -192,8 +193,10 @@ fn executors_are_bit_identical_with_shared_kernels() {
             .collect();
 
         for (b, inp) in inputs.iter().enumerate() {
-            let par = run_parallel(&g, &clustering, inp, &ctx).unwrap();
-            let stolen = run_stealing(&g, &clustering, inp, &ctx).unwrap();
+            let par =
+                run_parallel_opts(&g, &clustering, inp, &ctx, &RunOptions::default()).unwrap();
+            let stolen =
+                run_stealing_opts(&g, &clustering, inp, &ctx, &RunOptions::default()).unwrap();
             for (label, out) in [("parallel", &par), ("stealing", &stolen)] {
                 if let Some((tensor, why)) = first_bit_divergence(&baseline[b], out) {
                     panic!(
@@ -209,7 +212,7 @@ fn executors_are_bit_identical_with_shared_kernels() {
                 switched_hypercluster(&clustering, inputs.len()),
             ),
         ] {
-            let outs = run_hyper(&g, &hc, &inputs, &ctx).unwrap();
+            let outs = run_hyper_opts(&g, &hc, &inputs, &ctx, &RunOptions::default()).unwrap();
             for (b, out) in outs.iter().enumerate() {
                 if let Some((tensor, why)) = first_bit_divergence(&baseline[b], out) {
                     panic!(
@@ -217,7 +220,8 @@ fn executors_are_bit_identical_with_shared_kernels() {
                     );
                 }
             }
-            let outs = run_hyper_stealing(&g, &hc, &inputs, &ctx).unwrap();
+            let outs =
+                run_hyper_stealing_opts(&g, &hc, &inputs, &ctx, &RunOptions::default()).unwrap();
             for (b, out) in outs.iter().enumerate() {
                 if let Some((tensor, why)) = first_bit_divergence(&baseline[b], out) {
                     panic!(
@@ -226,6 +230,35 @@ fn executors_are_bit_identical_with_shared_kernels() {
                     );
                 }
             }
+        }
+    }
+}
+
+/// The SimdF32 backend's whole point of discipline: lane-unrolled, never
+/// reassociated, so a full model run is *bit-identical* to ScalarF32 —
+/// every Gemm/MatMul/Conv through the f32x8 microkernels included. This is
+/// the end-to-end statement of the kernel-level proptests. The backend
+/// reaches an executor only through its `ExecCtx`, so one stealing row
+/// checks that the steal pool runs the kernels the context names.
+#[test]
+fn simd_backend_is_bit_identical_to_scalar_on_all_models() {
+    let cfg = ModelConfig::tiny();
+    let sctx = ExecCtx::sequential();
+    let vctx = sctx.with_backend(KernelBackend::SimdF32);
+    for kind in ModelKind::all() {
+        let model = kind.name();
+        let g = build(kind, &cfg);
+        let inputs = synth_inputs(&g, 23);
+        let scalar = run_sequential(&g, &inputs, &sctx).unwrap();
+        let simd = run_sequential(&g, &inputs, &vctx).unwrap();
+        if let Some((tensor, why)) = first_bit_divergence(&scalar, &simd) {
+            panic!("{model}: SimdF32 not bit-identical to ScalarF32: `{tensor}`: {why}");
+        }
+        let clustering = cluster_graph(&g, &StaticCost);
+        let stolen =
+            run_stealing_opts(&g, &clustering, &inputs, &vctx, &RunOptions::default()).unwrap();
+        if let Some((tensor, why)) = first_bit_divergence(&scalar, &stolen) {
+            panic!("{model}: stealing under SimdF32 not bit-identical: `{tensor}`: {why}");
         }
     }
 }
@@ -246,10 +279,19 @@ fn executors_agree_on_kernel_failures() {
     let inputs = synth_inputs(&g, 5);
 
     let seq = run_sequential(&g, &inputs, &ctx).unwrap_err();
-    let par = run_parallel(&g, &clustering, &inputs, &ctx).unwrap_err();
+    let par =
+        run_parallel_opts(&g, &clustering, &inputs, &ctx, &RunOptions::default()).unwrap_err();
     let hc = hypercluster(&clustering, 2);
-    let hyper = run_hyper(&g, &hc, &[inputs.clone(), inputs.clone()], &ctx).unwrap_err();
-    let stolen = run_stealing(&g, &clustering, &inputs, &ctx).unwrap_err();
+    let hyper = run_hyper_opts(
+        &g,
+        &hc,
+        &[inputs.clone(), inputs.clone()],
+        &ctx,
+        &RunOptions::default(),
+    )
+    .unwrap_err();
+    let stolen =
+        run_stealing_opts(&g, &clustering, &inputs, &ctx, &RunOptions::default()).unwrap_err();
 
     for (label, err) in [
         ("sequential", &seq),

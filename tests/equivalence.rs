@@ -6,7 +6,9 @@ use ramiel::{compile, PipelineOptions};
 use ramiel_cluster::{cluster_graph, hypercluster, switched_hypercluster, StaticCost};
 use ramiel_models::{build, synthetic, ModelConfig, ModelKind};
 use ramiel_passes::CloneConfig;
-use ramiel_runtime::{run_hyper, run_parallel, run_sequential, synth_inputs, Env};
+use ramiel_runtime::{
+    run_hyper_opts, run_parallel_opts, run_sequential, synth_inputs, Env, RunOptions,
+};
 use ramiel_tensor::{ExecCtx, Value};
 
 fn assert_close(a: &Env, b: &Env, what: &str) {
@@ -54,8 +56,14 @@ fn parallel_execution_of_optimized_graphs_matches_sequential() {
         let c = compile(build(kind, &cfg), &PipelineOptions::all_optimizations()).unwrap();
         let inputs = synth_inputs(&c.graph, 123);
         let seq = run_sequential(&c.graph, &inputs, &ctx).unwrap();
-        let par = run_parallel(&c.graph, &c.clustering, &inputs, &ctx)
-            .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
+        let par = run_parallel_opts(
+            &c.graph,
+            &c.clustering,
+            &inputs,
+            &ctx,
+            &RunOptions::default(),
+        )
+        .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
         assert_close(&seq, &par, kind.name());
     }
 }
@@ -70,7 +78,7 @@ fn intra_op_parallelism_does_not_change_results() {
         let ctx = ExecCtx::with_intra_op(threads);
         let s = run_sequential(&g, &inputs, &ctx).unwrap();
         assert_close(&seq, &s, "intra-op sequential");
-        let p = run_parallel(&g, &clustering, &inputs, &ctx).unwrap();
+        let p = run_parallel_opts(&g, &clustering, &inputs, &ctx, &RunOptions::default()).unwrap();
         assert_close(&seq, &p, "intra-op parallel");
     }
 }
@@ -94,7 +102,7 @@ fn hyperclustering_matches_per_sample_baseline_on_models() {
                 ("plain", hypercluster(&clustering, batch)),
                 ("switched", switched_hypercluster(&clustering, batch)),
             ] {
-                let outs = run_hyper(&g, &hc, &inputs, &ctx)
+                let outs = run_hyper_opts(&g, &hc, &inputs, &ctx, &RunOptions::default())
                     .unwrap_or_else(|e| panic!("{} {label} b{batch}: {e}", kind.name()));
                 for (b, inp) in inputs.iter().enumerate() {
                     let seq = run_sequential(&g, inp, &ctx).unwrap();
@@ -122,8 +130,14 @@ fn random_layered_graphs_survive_the_whole_stack() {
             },
         )
         .unwrap();
-        let par = run_parallel(&c.graph, &c.clustering, &inputs, &ctx)
-            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let par = run_parallel_opts(
+            &c.graph,
+            &c.clustering,
+            &inputs,
+            &ctx,
+            &RunOptions::default(),
+        )
+        .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         assert_close(&baseline, &par, &format!("seed {seed}"));
     }
 }

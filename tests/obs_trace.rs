@@ -110,7 +110,7 @@ proptest! {
 fn full_profile_trace_parses_and_references_valid_tracks() {
     use ramiel::models::{build, ModelConfig, ModelKind};
     use ramiel::{compile_with_obs, PipelineOptions};
-    use ramiel_runtime::{run_parallel_profiled_opts, run_sequential_profiled, RunOptions};
+    use ramiel_runtime::{run_sequential_profiled, RunOptions};
 
     let obs = Obs::enabled();
     obs.with_pid(1).name_process("compile pipeline");
@@ -132,10 +132,10 @@ fn full_profile_trace_parses_and_references_valid_tracks() {
     .unwrap();
     seq_db.export_to_obs(&obs.with_pid(2), &c.graph);
 
-    let (_, par_db) = run_parallel_profiled_opts(
+    let (_, par_db) = run_hyper_profiled_opts(
         &c.graph,
-        &c.clustering,
-        &inputs,
+        &hypercluster(&c.clustering, 1),
+        std::slice::from_ref(&inputs),
         &ctx,
         &RunOptions::default().obs(obs.with_pid(3)),
     )

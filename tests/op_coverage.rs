@@ -5,7 +5,7 @@
 
 use ramiel::{compile, PipelineOptions};
 use ramiel_ir::{DType, Graph, GraphBuilder, OpKind, PoolSpec, TensorData};
-use ramiel_runtime::{run_parallel, run_sequential, synth_inputs};
+use ramiel_runtime::{run_parallel_opts, run_sequential, synth_inputs, RunOptions};
 use ramiel_tensor::ExecCtx;
 
 /// Build one graph that exercises every operator variant.
@@ -239,7 +239,14 @@ fn kitchen_sink_runs_sequentially_and_in_parallel() {
     let ctx = ExecCtx::sequential();
     let seq = run_sequential(&g, &inputs, &ctx).expect("sequential");
     let c = compile(g, &PipelineOptions::default()).expect("pipeline");
-    let par = run_parallel(&c.graph, &c.clustering, &inputs, &ctx).expect("parallel");
+    let par = run_parallel_opts(
+        &c.graph,
+        &c.clustering,
+        &inputs,
+        &ctx,
+        &RunOptions::default(),
+    )
+    .expect("parallel");
     assert_eq!(seq, par);
 }
 

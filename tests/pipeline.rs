@@ -104,7 +104,7 @@ fn model_roundtrip_through_model_file() {
 #[test]
 fn dsc_scheduler_is_a_valid_alternative() {
     use ramiel::Scheduler;
-    use ramiel_runtime::{run_parallel, run_sequential, synth_inputs};
+    use ramiel_runtime::{run_parallel_opts, run_sequential, synth_inputs, RunOptions};
     use ramiel_tensor::ExecCtx;
     let cfg = ModelConfig::tiny();
     for kind in ModelKind::all() {
@@ -135,7 +135,14 @@ fn dsc_scheduler_is_a_valid_alternative() {
     let inputs = synth_inputs(&c.graph, 77);
     let ctx = ExecCtx::sequential();
     let seq = run_sequential(&c.graph, &inputs, &ctx).unwrap();
-    let par = run_parallel(&c.graph, &c.clustering, &inputs, &ctx).unwrap();
+    let par = run_parallel_opts(
+        &c.graph,
+        &c.clustering,
+        &inputs,
+        &ctx,
+        &RunOptions::default(),
+    )
+    .unwrap();
     assert_eq!(
         seq.keys().collect::<Vec<_>>(),
         par.keys().collect::<Vec<_>>()

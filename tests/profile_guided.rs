@@ -129,7 +129,7 @@ fn profile_db_feeds_measured_cost_end_to_end() {
     // model must price every node, and the reclustered schedule must still
     // pass the partition check and simulate to a finite makespan.
     use ramiel::models::{build, ModelConfig, ModelKind};
-    use ramiel::runtime::{run_parallel_profiled, run_sequential, synth_inputs};
+    use ramiel::runtime::{run_hyper_profiled_opts, run_sequential, synth_inputs, RunOptions};
     use ramiel::tensor::ExecCtx;
 
     let g = build(ModelKind::Squeezenet, &ModelConfig::tiny());
@@ -137,8 +137,15 @@ fn profile_db_feeds_measured_cost_end_to_end() {
     let ctx = ExecCtx::sequential();
     let inputs = synth_inputs(&g, 5);
     let expect = run_sequential(&g, &inputs, &ctx).unwrap();
-    let (out, db) = run_parallel_profiled(&g, &clustering, &inputs, &ctx).unwrap();
-    assert_eq!(out, expect);
+    let (out, db) = run_hyper_profiled_opts(
+        &g,
+        &ramiel::cluster::hypercluster(&clustering, 1),
+        std::slice::from_ref(&inputs),
+        &ctx,
+        &RunOptions::default(),
+    )
+    .unwrap();
+    assert_eq!(out, [expect]);
 
     let measured = db.measured_cost(&g);
     assert_eq!(

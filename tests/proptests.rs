@@ -9,7 +9,8 @@ use ramiel_cluster::{
 };
 use ramiel_models::synthetic;
 use ramiel_runtime::{
-    run_parallel, run_sequential, simulate_clustering, simulate_sequential, synth_inputs, SimConfig,
+    run_parallel_opts, run_sequential, simulate_clustering, simulate_sequential, synth_inputs,
+    RunOptions, SimConfig,
 };
 use ramiel_tensor::{ExecCtx, Value};
 
@@ -74,7 +75,7 @@ proptest! {
         let inputs = synth_inputs(&g, seed);
         let ctx = ExecCtx::sequential();
         let seq = run_sequential(&g, &inputs, &ctx).unwrap();
-        let par = run_parallel(&g, &clustering, &inputs, &ctx).unwrap();
+        let par = run_parallel_opts(&g, &clustering, &inputs, &ctx, &RunOptions::default()).unwrap();
         prop_assert_eq!(seq.len(), par.len());
         for (k, va) in &seq {
             match (va, &par[k]) {
