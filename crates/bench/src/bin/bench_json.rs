@@ -180,18 +180,25 @@ fn time_ms(iters: usize, mut f: impl FnMut()) -> f64 {
     start.elapsed().as_secs_f64() * 1e3 / iters as f64
 }
 
-/// Min-of-iters timing: the right statistic for a guard comparing two
-/// executors on the same host — the minimum is the least-noise sample,
-/// so scheduler jitter can't manufacture a fake regression (or hide one).
-fn time_min_ms(iters: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warm-up
-    let mut best = f64::INFINITY;
-    for _ in 0..iters {
+/// Min-of-rounds timing of two bodies, timed alternately within each round:
+/// the right statistic for a guard comparing two executors on the same
+/// host. The minimum is the least-noise sample, so scheduler jitter can't
+/// manufacture a fake regression (or hide one), and alternating puts host
+/// drift over the measurement on both sides alike.
+fn time_min_pair_ms(rounds: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+    a(); // warm-up
+    b();
+    let time = |f: &mut dyn FnMut()| {
         let start = Instant::now();
         f();
-        best = best.min(start.elapsed().as_secs_f64() * 1e3);
+        start.elapsed().as_secs_f64() * 1e3
+    };
+    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..rounds {
+        best_a = best_a.min(time(&mut a));
+        best_b = best_b.min(time(&mut b));
     }
-    best
+    (best_a, best_b)
 }
 
 /// One timed unit of backend kernel work: the f32 `mm` entry point, which
@@ -384,7 +391,8 @@ fn main() {
 
     // Work-stealing at batch 1 on every built-in model: the standing
     // StealPool (plan prebuilt, workers persistent) against the sequential
-    // executor, min-of-iters on both sides. The guard is the executor's
+    // executor, the two timed alternately per round and min-of-rounds on
+    // both sides. The guard is the executor's
     // whole pitch — task parallelism cheap enough to pay off on a single
     // request, no batching required — so stealing losing to sequential on
     // ANY model is a regression that fails the run.
@@ -394,18 +402,22 @@ fn main() {
         use std::sync::Arc;
         let pool = StealPool::global();
         let steal_iters = iters.max(5);
-        let opts = RunOptions::default();
         for kind in ModelKind::all() {
             let c = compile(build(kind, &cfg), &PipelineOptions::default()).expect("pipeline");
             let inputs = synth_inputs(&c.graph, 42);
             let plan = Arc::new(StealPlan::new(&c.graph, &c.clustering, 1).expect("steal plan"));
+            let opts = RunOptions::default()
+                .init_values(ramiel_runtime::initializer_values(&c.graph).expect("weights"));
             let one = [inputs.clone()];
-            let seq_ms = time_min_ms(steal_iters, || {
-                run_sequential(&c.graph, &inputs, &ctx).expect("seq");
-            });
-            let steal_ms = time_min_ms(steal_iters, || {
-                pool.run_plan(&plan, &one, &ctx, &opts).expect("steal");
-            });
+            let (seq_ms, steal_ms) = time_min_pair_ms(
+                steal_iters,
+                || {
+                    run_sequential(&c.graph, &inputs, &ctx).expect("seq");
+                },
+                || {
+                    pool.run_plan(&plan, &one, &ctx, &opts).expect("steal");
+                },
+            );
             stealing.push(StealingRow {
                 model: kind.name().to_string(),
                 nodes: c.graph.num_nodes(),

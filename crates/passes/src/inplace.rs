@@ -68,27 +68,41 @@ impl InPlaceMarks {
 /// Mark every op whose input buffer is provably dead after the op reads it
 /// and whose kernel can write the result over that operand.
 pub fn inplace_marks(graph: &Graph) -> InPlaceMarks {
-    let adj = graph.adjacency();
+    // Borrowed-name views of the graph: which tensors a node produces, and
+    // per tensor its first consumer and total read count.
+    let produced: HashSet<&str> = graph
+        .nodes
+        .iter()
+        .flat_map(|n| n.outputs.iter().map(String::as_str))
+        .collect();
+    let mut reads: HashMap<&str, (NodeId, usize)> = HashMap::new();
+    for node in &graph.nodes {
+        for inp in &node.inputs {
+            reads
+                .entry(inp.as_str())
+                .and_modify(|r| r.1 += 1)
+                .or_insert((node.id, 1));
+        }
+    }
     let outputs: HashSet<&str> = graph.outputs.iter().map(String::as_str).collect();
     let mut slots = HashMap::new();
     for node in &graph.nodes {
         for &s in inplace_slots(&node.op) {
-            let Some(name) = node.inputs.get(s) else {
+            let Some(name) = node.inputs.get(s).map(String::as_str) else {
                 continue;
             };
             // Model inputs and initializers are owned by the caller / the
             // shared weight table; overwriting them is never sound.
-            if !adj.producer_of.contains_key(name) {
+            if !produced.contains(name) {
                 continue;
             }
-            // Sole consumer, consumed exactly once (Add(x, x) lists x twice
-            // in consumers_of, so duplicate operands are excluded here).
-            match adj.consumers_of.get(name) {
-                Some(cons) if cons.len() == 1 && cons[0] == node.id => {}
-                _ => continue,
+            // Sole consumer, consumed exactly once (Add(x, x) reads x
+            // twice, so duplicate operands are excluded here).
+            if reads.get(name) != Some(&(node.id, 1)) {
+                continue;
             }
             // Graph outputs stay live past their last consumer.
-            if outputs.contains(name.as_str()) {
+            if outputs.contains(name) {
                 continue;
             }
             // When shape metadata is present, only mark operands whose
@@ -113,6 +127,55 @@ pub fn inplace_marks(graph: &Graph) -> InPlaceMarks {
 mod tests {
     use super::*;
     use ramiel_ir::{DType, GraphBuilder};
+    use ramiel_models::{build, ModelConfig, ModelKind};
+
+    /// The marking rule as first written, over `Graph::adjacency()`: the
+    /// reference `inplace_marks` must keep agreeing with.
+    fn adjacency_marks(graph: &Graph) -> InPlaceMarks {
+        let adj = graph.adjacency();
+        let outputs: HashSet<&str> = graph.outputs.iter().map(String::as_str).collect();
+        let mut slots = HashMap::new();
+        for node in &graph.nodes {
+            for &s in inplace_slots(&node.op) {
+                let Some(name) = node.inputs.get(s) else {
+                    continue;
+                };
+                if !adj.producer_of.contains_key(name) {
+                    continue;
+                }
+                match adj.consumers_of.get(name) {
+                    Some(cons) if cons.len() == 1 && cons[0] == node.id => {}
+                    _ => continue,
+                }
+                if outputs.contains(name.as_str()) {
+                    continue;
+                }
+                if let (Some(a), Some(b)) = (
+                    graph.tensor_info(name),
+                    node.outputs.first().and_then(|o| graph.tensor_info(o)),
+                ) {
+                    if a.shape != b.shape || a.dtype != b.dtype {
+                        continue;
+                    }
+                }
+                slots.insert(node.id, s);
+                break;
+            }
+        }
+        InPlaceMarks { slots }
+    }
+
+    #[test]
+    fn marks_match_the_adjacency_rule_on_every_model() {
+        for cfg in [ModelConfig::tiny(), ModelConfig::full()] {
+            for kind in ModelKind::all() {
+                let g = build(kind, &cfg);
+                let marks = inplace_marks(&g);
+                assert_eq!(marks, adjacency_marks(&g), "{kind:?}");
+                assert!(!marks.is_empty(), "{kind:?}: no marks to compare");
+            }
+        }
+    }
 
     /// x → relu a → relu b → add(b, b2-like fanout) …
     fn chain() -> Graph {

@@ -35,10 +35,10 @@
 //!
 //! Everything the static executors honor is threaded through: RunOptions
 //! (obs, fault injection, in-place reuse marks gated by `Arc::get_mut`,
-//! shared `init_values`), MemGauge accounting identical to the
-//! [`crate::reuse::Liveness`] model (so the analyze first-ready resident-sum
-//! bound stays sound), supervisor retry/fallback
-//! ([`crate::supervisor::run_supervised`]), and batch
+//! the shared `init_values` weight table — plans hold none), MemGauge
+//! accounting identical to the [`crate::reuse::Liveness`] model (so the
+//! analyze first-ready resident-sum bound stays sound), supervisor
+//! retry/fallback ([`crate::supervisor::run_supervised`]), and batch
 //! execution for serve. `FaultKind::DropMessage` is a no-op here, as in the
 //! sequential executor: there are no channels to drop from.
 
@@ -54,6 +54,7 @@ use ramiel_obs::metrics::{render_histogram_text, Histogram, HistogramSnapshot, P
 use ramiel_obs::Obs;
 use ramiel_passes::{inplace_marks, InPlaceMarks};
 use ramiel_tensor::{eval_op, eval_op_inplace, ExecCtx, MemGauge, Value};
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -106,10 +107,10 @@ struct PlanNode {
     succs: Vec<u32>,
 }
 
-/// A dependency-resolved execution plan for one (graph, batch) pair:
-/// everything [`StealPool::run_plan`] needs, fully owned. Build once and
-/// reuse across runs — construction converts the weights unless the run
-/// supplies `RunOptions::init_values`.
+/// A dependency-resolved execution plan for one (graph, batch) pair: the
+/// graph's structure, fully owned. Build once and reuse across runs. The
+/// plan holds no weights: every [`StealPool::run_plan`] call takes them
+/// from `RunOptions::init_values`.
 pub struct StealPlan {
     batch: usize,
     nodes: Vec<PlanNode>,
@@ -126,40 +127,48 @@ pub struct StealPlan {
     /// Locality hint (cluster id) per task `b * nodes.len() + n`.
     hints: Vec<u32>,
     marks: InPlaceMarks,
-    init_values: Arc<HashMap<String, Value>>,
 }
 
 impl StealPlan {
     /// Plan a batch-1..n run using a clustering's assignment as locality
     /// hints (the same hint for every batch element of a node).
     pub fn new(graph: &Graph, clustering: &Clustering, batch: usize) -> Result<StealPlan> {
-        let assign = clustering.assignment();
-        Self::build(graph, batch, |_, n| {
-            assign.get(&n).map(|&c| c as u32).unwrap_or(u32::MAX)
-        })
+        let mut cluster_of = vec![u32::MAX; graph.nodes.len()];
+        for (c, cluster) in clustering.clusters.iter().enumerate() {
+            for &n in &cluster.nodes {
+                if let Some(h) = cluster_of.get_mut(n) {
+                    *h = c as u32;
+                }
+            }
+        }
+        Self::build(graph, batch, |_, n| cluster_of[n])
     }
 
     /// Plan from a hyperclustering: per-(batch, node) hints from the
     /// hypercluster worker assignment.
     pub fn from_hyper(graph: &Graph, hc: &HyperClustering) -> Result<StealPlan> {
-        let mut owner: HashMap<(usize, usize), u32> = HashMap::new();
+        let batch = hc.batch.max(1);
+        let nn = graph.nodes.len();
+        let mut owner = vec![u32::MAX; batch * nn];
         for (w, ops) in hc.hyperclusters.iter().enumerate() {
             for op in ops {
-                owner.insert((op.batch, op.node), w as u32);
+                if op.batch < batch && op.node < nn {
+                    owner[op.batch * nn + op.node] = w as u32;
+                }
             }
         }
-        Self::build(graph, hc.batch.max(1), |b, n| {
-            owner.get(&(b, n)).copied().unwrap_or(u32::MAX)
-        })
+        Self::build(graph, batch, |b, n| owner[b * nn + n])
     }
 
     fn build(graph: &Graph, batch: usize, hint: impl Fn(usize, usize) -> u32) -> Result<StealPlan> {
         if batch == 0 {
             return Err(RuntimeError::Setup("steal plan needs batch >= 1".into()));
         }
+        // Slots in node order; `producer[s]` is the node index writing slot s.
         let mut slot_of: HashMap<&str, u32> = HashMap::new();
         let mut slot_names = Vec::new();
-        for node in &graph.nodes {
+        let mut producer = Vec::new();
+        for (i, node) in graph.nodes.iter().enumerate() {
             for out in &node.outputs {
                 if slot_of
                     .insert(out.as_str(), slot_names.len() as u32)
@@ -170,6 +179,7 @@ impl StealPlan {
                     )));
                 }
                 slot_names.push(out.clone());
+                producer.push(i as u32);
             }
         }
         let mut slot_reads = vec![0u32; slot_names.len()];
@@ -180,39 +190,36 @@ impl StealPlan {
                 slot_reads[s as usize] += 1; // the pin
             }
         }
+        let mut next_slot = 0u32;
         let mut nodes: Vec<PlanNode> = graph
             .nodes
             .iter()
-            .map(|n| PlanNode {
-                id: n.id,
-                name: n.name.clone(),
-                op: n.op.clone(),
-                inputs: Vec::with_capacity(n.inputs.len()),
-                out_slots: n.outputs.iter().map(|o| slot_of[o.as_str()]).collect(),
-                preds: 0,
-                succs: Vec::new(),
+            .map(|n| {
+                let base = next_slot;
+                next_slot += n.outputs.len() as u32;
+                PlanNode {
+                    id: n.id,
+                    name: n.name.clone(),
+                    op: n.op.clone(),
+                    inputs: Vec::with_capacity(n.inputs.len()),
+                    out_slots: (base..next_slot).collect(),
+                    preds: 0,
+                    succs: Vec::new(),
+                }
             })
             .collect();
-        let adj = graph.adjacency();
         for (i, n) in graph.nodes.iter().enumerate() {
             for inp in &n.inputs {
-                if let Some(&s) = slot_of.get(inp.as_str()) {
-                    nodes[i].preds += 1;
-                    slot_reads[s as usize] += 1;
-                    let p = adj.producer_of[inp.as_str()];
-                    nodes[p].succs.push(i as u32);
-                } else {
-                    nodes[i].inputs.push(InSrc::External(inp.clone()));
-                }
-            }
-            // Re-walk to keep input positions in operator order (the loop
-            // above appended only externals; rebuild properly).
-            nodes[i].inputs.clear();
-            for inp in &n.inputs {
-                nodes[i].inputs.push(match slot_of.get(inp.as_str()) {
-                    Some(&s) => InSrc::Slot(s),
+                let src = match slot_of.get(inp.as_str()) {
+                    Some(&s) => {
+                        nodes[i].preds += 1;
+                        slot_reads[s as usize] += 1;
+                        nodes[producer[s as usize] as usize].succs.push(i as u32);
+                        InSrc::Slot(s)
+                    }
                     None => InSrc::External(inp.clone()),
-                });
+                };
+                nodes[i].inputs.push(src);
             }
         }
         let roots = nodes
@@ -235,7 +242,6 @@ impl StealPlan {
             roots,
             hints,
             marks: inplace_marks(graph),
-            init_values: crate::initializer_values(graph)?,
         })
     }
 
@@ -245,12 +251,6 @@ impl StealPlan {
 
     pub fn num_tasks(&self) -> usize {
         self.batch * self.nodes.len()
-    }
-
-    /// The plan's own pre-converted weight table (shared across runs unless
-    /// the caller overrides it via `RunOptions::init_values`).
-    pub fn init_values(&self) -> &Arc<HashMap<String, Value>> {
-        &self.init_values
     }
 }
 
@@ -269,8 +269,7 @@ struct Slot {
 struct JobInner {
     plan: Arc<StealPlan>,
     inputs: Vec<Env>,
-    /// Effective weight table: `RunOptions::init_values` override or the
-    /// plan's own pre-converted table.
+    /// The run's weight table (`RunOptions::init_values`).
     init: Arc<HashMap<String, Value>>,
     ctx: ExecCtx,
     injector: Option<Arc<FaultInjector>>,
@@ -302,6 +301,7 @@ impl JobInner {
     fn new(
         plan: &Arc<StealPlan>,
         inputs: Vec<Env>,
+        init: &Arc<HashMap<String, Value>>,
         ctx: &ExecCtx,
         opts: &RunOptions,
         deadline: Instant,
@@ -324,10 +324,7 @@ impl JobInner {
         JobInner {
             plan: Arc::clone(plan),
             inputs,
-            init: opts
-                .init_values
-                .clone()
-                .unwrap_or_else(|| Arc::clone(&plan.init_values)),
+            init: Arc::clone(init),
             ctx: ctx.clone(),
             injector: opts.injector.clone(),
             obs: opts.obs.clone(),
@@ -1099,6 +1096,9 @@ impl StealPool {
     /// local, others spread over the workers), executes and steals alongside
     /// the pool, and enforces the recv-timeout deadline. On success the
     /// graph outputs are returned and every gauge charge has been released.
+    ///
+    /// The weights come from `opts.init_values`, which must be set: the
+    /// plan holds none, and a run without a table is an `RT-SETUP` error.
     pub fn run_plan(
         &self,
         plan: &Arc<StealPlan>,
@@ -1113,15 +1113,15 @@ impl StealPool {
                 inputs.len()
             )));
         }
+        let Some(init_values) = &opts.init_values else {
+            return Err(RuntimeError::Setup(
+                "steal plan run needs a weight table (RunOptions::init_values)".into(),
+            ));
+        };
         let mut run_span = opts.obs.span(0, "steal:run", "steal");
         if let Some(ids) = &opts.request_ids {
             run_span.set_args(serde_json::json!({ "requests": &ids[..] }));
         }
-        let mut opts_eff = opts.clone();
-        if opts_eff.init_values.is_none() {
-            opts_eff.init_values = Some(Arc::clone(&plan.init_values));
-        }
-        let init_values = opts_eff.init_values.clone().expect("just set");
         let backfill = |outs: &mut Vec<Env>| {
             // Outputs that are direct inputs/initializers (degenerate but
             // legal).
@@ -1141,13 +1141,14 @@ impl StealPool {
             return Ok(outs);
         }
 
-        let timeout = opts_eff.recv_timeout.unwrap_or_else(default_recv_timeout);
+        let timeout = opts.recv_timeout.unwrap_or_else(default_recv_timeout);
         let deadline = Instant::now() + timeout;
         let job = Arc::new(JobInner::new(
             plan,
             inputs.to_vec(),
+            init_values,
             ctx,
-            &opts_eff,
+            opts,
             deadline,
         ));
 
@@ -1256,6 +1257,17 @@ impl Drop for StealPool {
     }
 }
 
+/// `opts` as given when it carries a weight table, else a copy with the
+/// table converted from `graph` (what the other executors do per run).
+fn with_weights<'a>(graph: &Graph, opts: &'a RunOptions) -> Result<Cow<'a, RunOptions>> {
+    if opts.init_values.is_some() {
+        return Ok(Cow::Borrowed(opts));
+    }
+    Ok(Cow::Owned(
+        opts.clone().init_values(crate::initializer_values(graph)?),
+    ))
+}
+
 /// Execute a batch-1 run on the global work-stealing pool, using the
 /// clustering only as locality hints. Returns the graph outputs.
 pub fn run_stealing_opts(
@@ -1266,7 +1278,8 @@ pub fn run_stealing_opts(
     opts: &RunOptions,
 ) -> Result<Env> {
     let plan = Arc::new(StealPlan::new(graph, clustering, 1)?);
-    let mut outs = StealPool::global().run_plan(&plan, std::slice::from_ref(inputs), ctx, opts)?;
+    let opts = with_weights(graph, opts)?;
+    let mut outs = StealPool::global().run_plan(&plan, std::slice::from_ref(inputs), ctx, &opts)?;
     Ok(outs.pop().expect("batch 1 yields one output env"))
 }
 
@@ -1280,7 +1293,8 @@ pub fn run_hyper_stealing_opts(
     opts: &RunOptions,
 ) -> Result<Vec<Env>> {
     let plan = Arc::new(StealPlan::from_hyper(graph, hc)?);
-    StealPool::global().run_plan(&plan, inputs, ctx, opts)
+    let opts = with_weights(graph, opts)?;
+    StealPool::global().run_plan(&plan, inputs, ctx, &opts)
 }
 
 #[cfg(test)]
@@ -1343,7 +1357,7 @@ mod tests {
         let plan = Arc::new(StealPlan::new(&g, &clustering, 1).unwrap());
         let pool = StealPool::new(2);
         let inputs = synth_inputs(&g, 9);
-        let opts = RunOptions::default();
+        let opts = RunOptions::default().init_values(crate::initializer_values(&g).unwrap());
         let a = pool
             .run_plan(&plan, std::slice::from_ref(&inputs), &ctx, &opts)
             .unwrap();
@@ -1444,13 +1458,9 @@ mod tests {
         let pool = StealPool::new(2);
         let inputs = synth_inputs(&g, 21);
         let before = pool.stats();
-        pool.run_plan(
-            &plan,
-            std::slice::from_ref(&inputs),
-            &ctx,
-            &RunOptions::default(),
-        )
-        .unwrap();
+        let opts = RunOptions::default().init_values(crate::initializer_values(&g).unwrap());
+        pool.run_plan(&plan, std::slice::from_ref(&inputs), &ctx, &opts)
+            .unwrap();
         let after = pool.stats_and_reset_window();
         let ran = after.tasks - before.tasks;
         assert_eq!(ran as usize, plan.num_tasks(), "every task counted once");
@@ -1478,6 +1488,41 @@ mod tests {
             .map(|s| s.value)
             .sum();
         assert_eq!(total as u64, after.tasks);
+    }
+
+    #[test]
+    fn run_plan_without_a_weight_table_is_a_setup_error() {
+        let g = build(ModelKind::Squeezenet, &ModelConfig::tiny());
+        let clustering = cluster_graph(&g, &StaticCost);
+        let plan = Arc::new(StealPlan::new(&g, &clustering, 1).unwrap());
+        let inputs = synth_inputs(&g, 4);
+        let err = StealPool::global()
+            .run_plan(
+                &plan,
+                std::slice::from_ref(&inputs),
+                &ExecCtx::sequential(),
+                &RunOptions::default(),
+            )
+            .unwrap_err();
+        assert_eq!(err.code(), "RT-SETUP", "got {err}");
+    }
+
+    #[test]
+    fn bad_weight_payload_fails_at_run_not_at_plan() {
+        // The weight check moved out of plan construction: the plan builds,
+        // and the run refuses the table before any kernel executes.
+        let mut g = build(ModelKind::Squeezenet, &ModelConfig::tiny());
+        let w = g.initializers.values_mut().next().expect("an initializer");
+        w.shape.push(2); // payload now holds half the elements the shape says
+        let clustering = cluster_graph(&g, &StaticCost);
+        StealPlan::new(&g, &clustering, 1).expect("plans need no weights");
+        let gauge = MemGauge::new();
+        let ctx = ExecCtx::sequential().with_mem_gauge(gauge.clone());
+        let inputs = synth_inputs(&g, 4);
+        let err =
+            run_stealing_opts(&g, &clustering, &inputs, &ctx, &RunOptions::default()).unwrap_err();
+        assert!(err.code().starts_with("RT-"), "got {err}");
+        assert_eq!(gauge.peak_bytes(), 0, "a kernel ran before the error");
     }
 
     #[test]

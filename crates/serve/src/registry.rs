@@ -21,9 +21,10 @@
 use crate::sha256;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 /// Structured registry failure; `code()` is the stable machine-readable
 /// class.
@@ -284,7 +285,7 @@ fn fetch(reference: &str) -> Result<Vec<u8>, RegistryError> {
         });
     }
     if reference.starts_with("http://") {
-        return http_get(reference);
+        return http_get(reference, MAX_HTTP_BODY_BYTES);
     }
     if let Some((scheme, _)) = reference.split_once("://") {
         return Err(RegistryError::Scheme {
@@ -302,10 +303,40 @@ fn fetch(reference: &str) -> Result<Vec<u8>, RegistryError> {
     })
 }
 
+/// Largest response body [`Registry::pull`] accepts over HTTP: protobuf's
+/// own 2 GiB message limit, so no loadable `.onnx` file is refused.
+pub const MAX_HTTP_BODY_BYTES: u64 = 2 << 30;
+
+/// Largest response head (status line plus headers) a fetch reads.
+const MAX_HTTP_HEAD_BYTES: u64 = 64 << 10;
+
+/// Connect, read and write timeout of one registry fetch.
+const HTTP_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Connect to the first reachable address of `host_port`, with
+/// [`HTTP_TIMEOUT`] on the connect and on every later read and write.
+fn connect(host_port: &str) -> std::io::Result<TcpStream> {
+    let mut last = std::io::Error::from(std::io::ErrorKind::AddrNotAvailable);
+    for addr in host_port.to_socket_addrs()? {
+        match TcpStream::connect_timeout(&addr, HTTP_TIMEOUT) {
+            Ok(stream) => {
+                stream.set_read_timeout(Some(HTTP_TIMEOUT))?;
+                stream.set_write_timeout(Some(HTTP_TIMEOUT))?;
+                return Ok(stream);
+            }
+            Err(e) => last = e,
+        }
+    }
+    Err(last)
+}
+
 /// Minimal HTTP/1.0 GET over `std::net` (`Connection: close`, body read to
 /// EOF — no chunked encoding to handle). Enough for the loopback fixture
-/// server and any plain static file host.
-fn http_get(url: &str) -> Result<Vec<u8>, RegistryError> {
+/// server and any plain static file host. A declared `Content-Length` over
+/// `cap` is refused before the body is read; a body that runs past `cap`
+/// anyway (length left out or understated) is cut off one byte over and
+/// refused.
+fn http_get(url: &str, cap: u64) -> Result<Vec<u8>, RegistryError> {
     let err = |reason: String| RegistryError::Http {
         url: url.to_string(),
         reason,
@@ -320,8 +351,7 @@ fn http_get(url: &str) -> Result<Vec<u8>, RegistryError> {
     } else {
         format!("{host_port}:80")
     };
-    let mut stream =
-        TcpStream::connect(&host_port).map_err(|e| err(format!("connect {host_port}: {e}")))?;
+    let mut stream = connect(&host_port).map_err(|e| err(format!("connect {host_port}: {e}")))?;
     let host = host_port
         .rsplit_once(':')
         .map(|(h, _)| h)
@@ -331,16 +361,27 @@ fn http_get(url: &str) -> Result<Vec<u8>, RegistryError> {
             format!("GET {path} HTTP/1.0\r\nHost: {host}\r\nConnection: close\r\n\r\n").as_bytes(),
         )
         .map_err(|e| err(format!("send request: {e}")))?;
-    let mut response = Vec::new();
-    stream
-        .read_to_end(&mut response)
-        .map_err(|e| err(format!("read response: {e}")))?;
 
-    let header_end = response
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .ok_or_else(|| err("malformed response (no header terminator)".into()))?;
-    let head = String::from_utf8_lossy(&response[..header_end]);
+    let mut reader = BufReader::new(stream);
+    let mut head = Vec::new();
+    {
+        let mut limited = (&mut reader).take(MAX_HTTP_HEAD_BYTES);
+        loop {
+            let line_start = head.len();
+            let n = limited
+                .read_until(b'\n', &mut head)
+                .map_err(|e| err(format!("read response: {e}")))?;
+            if n == 0 {
+                return Err(err(format!(
+                    "malformed response (no header terminator within {MAX_HTTP_HEAD_BYTES} bytes)"
+                )));
+            }
+            if matches!(&head[line_start..], b"\r\n" | b"\n") {
+                break;
+            }
+        }
+    }
+    let head = String::from_utf8_lossy(&head);
     let status_line = head.lines().next().unwrap_or_default();
     let status = status_line
         .split_whitespace()
@@ -349,18 +390,28 @@ fn http_get(url: &str) -> Result<Vec<u8>, RegistryError> {
     if status != "200" {
         return Err(err(format!("status {status}")));
     }
-    let body = response[header_end + 4..].to_vec();
-    if let Some(len_line) = head
+    let declared: Option<u64> = head
         .lines()
         .find(|l| l.to_ascii_lowercase().starts_with("content-length:"))
-    {
-        let expected: usize = len_line[15..].trim().parse().unwrap_or(body.len());
-        if body.len() != expected {
-            return Err(err(format!(
-                "truncated body: Content-Length {expected}, got {} bytes",
-                body.len()
-            )));
-        }
+        .and_then(|l| l[15..].trim().parse().ok());
+    if let Some(len) = declared.filter(|&len| len > cap) {
+        return Err(err(format!(
+            "Content-Length {len} exceeds the {cap}-byte body cap"
+        )));
+    }
+    let mut body = Vec::new();
+    reader
+        .take(cap + 1)
+        .read_to_end(&mut body)
+        .map_err(|e| err(format!("read response: {e}")))?;
+    if body.len() as u64 > cap {
+        return Err(err(format!("body exceeds the {cap}-byte cap")));
+    }
+    if let Some(expected) = declared.filter(|&len| len != body.len() as u64) {
+        return Err(err(format!(
+            "body length mismatch: Content-Length {expected}, got {} bytes",
+            body.len()
+        )));
     }
     Ok(body)
 }
@@ -375,17 +426,22 @@ pub fn serve_dir(listener: std::net::TcpListener, root: PathBuf) -> std::io::Res
     for stream in listener.incoming() {
         let Ok(stream) = stream else { continue };
         let root = root.clone();
-        std::thread::Builder::new()
+        // A failed spawn drops the stream (closing it) and keeps accepting.
+        if let Err(e) = std::thread::Builder::new()
             .name("ramiel-fileserver-conn".into())
             .spawn(move || serve_file_conn(stream, &root))
-            .expect("spawn fileserver connection thread");
+        {
+            ramiel_obs::warn(
+                "RG-SPAWN",
+                format!("fileserver dropped a connection: cannot spawn its thread: {e}"),
+            );
+        }
     }
     Ok(())
 }
 
 fn serve_file_conn(mut stream: TcpStream, root: &Path) {
-    use std::io::BufRead;
-    let mut reader = std::io::BufReader::new(match stream.try_clone() {
+    let mut reader = BufReader::new(match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
     });
@@ -420,4 +476,41 @@ fn serve_file_conn(mut stream: TcpStream, root: &Path) {
     };
     let _ = stream.write_all(&response);
     let _ = stream.flush();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// Serve one connection with `response`, after draining the request.
+    fn one_shot(response: &'static [u8]) -> String {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut line = String::new();
+            while reader.read_line(&mut line).is_ok_and(|n| n > 0) && line.trim() != "" {
+                line.clear();
+            }
+            let _ = stream.write_all(response);
+        });
+        format!("http://{addr}/model.onnx")
+    }
+
+    #[test]
+    fn bodies_past_the_cap_are_refused_whatever_the_header_says() {
+        // No Content-Length, and an understated one: both run past the cap.
+        for response in [
+            &b"HTTP/1.0 200 OK\r\n\r\n0123456789"[..],
+            &b"HTTP/1.0 200 OK\r\nContent-Length: 4\r\n\r\n0123456789"[..],
+        ] {
+            let err = http_get(&one_shot(response), 8).unwrap_err();
+            assert_eq!(err.code(), "RG-HTTP");
+            assert!(err.to_string().contains("cap"), "{err}");
+        }
+        let body = http_get(&one_shot(b"HTTP/1.0 200 OK\r\n\r\n01234567"), 8).unwrap();
+        assert_eq!(body, b"01234567");
+    }
 }

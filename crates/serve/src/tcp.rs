@@ -156,7 +156,8 @@ pub fn run_tcp_with_registry(
         let model = default_model.to_string();
         let stop = Arc::clone(&stop);
         let registry = registry.clone();
-        std::thread::Builder::new()
+        // A failed spawn drops the stream (closing it) and keeps accepting.
+        if let Err(e) = std::thread::Builder::new()
             .name("ramiel-serve-conn".into())
             .spawn(move || {
                 let shutdown_requested = handle_conn(&server, &model, registry.as_deref(), stream);
@@ -167,7 +168,12 @@ pub fn run_tcp_with_registry(
                     let _ = TcpStream::connect(addr);
                 }
             })
-            .expect("spawn connection thread");
+        {
+            ramiel_obs::warn(
+                "SV-SPAWN",
+                format!("dropped a connection: cannot spawn its thread: {e}"),
+            );
+        }
     }
     Ok(())
 }

@@ -182,3 +182,35 @@ fn sha256_matches_the_nist_vector_through_the_public_api() {
         "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
     );
 }
+
+#[test]
+fn oversized_content_length_is_refused_before_the_body() {
+    // The fake server declares a terabyte and then sends nothing: the pull
+    // must fail on the header alone instead of waiting for (or buffering)
+    // the body.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let (release, held) = std::sync::mpsc::channel::<()>();
+    std::thread::spawn(move || {
+        use std::io::{BufRead, BufReader, Write};
+        let (mut stream, _) = listener.accept().unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut line = String::new();
+        while reader.read_line(&mut line).is_ok_and(|n| n > 0) && line.trim() != "" {
+            line.clear();
+        }
+        let _ = stream.write_all(b"HTTP/1.0 200 OK\r\nContent-Length: 1000000000000\r\n\r\n");
+        let _ = held.recv(); // keep the connection open until the test ends
+    });
+
+    let dir = scratch("oversized-body");
+    let registry = Registry::new(dir.join("cache"));
+    let start = std::time::Instant::now();
+    let err = registry
+        .pull(&format!("http://{addr}/model.onnx"), None)
+        .unwrap_err();
+    assert_eq!(err.code(), "RG-HTTP");
+    assert!(err.to_string().contains("1000000000000"), "{err}");
+    assert!(start.elapsed() < std::time::Duration::from_secs(10));
+    drop(release);
+}

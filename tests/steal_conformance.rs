@@ -28,9 +28,11 @@ use proptest::prelude::*;
 use ramiel_cluster::{cluster_graph, switched_hypercluster, Clustering, StaticCost};
 use ramiel_models::{build, ModelConfig, ModelKind};
 use ramiel_runtime::{
-    run_sequential, synth_inputs, Env, RunOptions, StealChaos, StealPlan, StealPool,
+    initializer_values, run_sequential, synth_inputs, Env, RunOptions, StealChaos, StealPlan,
+    StealPool,
 };
 use ramiel_tensor::{ExecCtx, Value};
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 /// Adversary sample budget. Each case exercises every model in
@@ -58,6 +60,8 @@ struct Fixture {
     /// Reusable batch-1 plan (also pins plan reuse across thousands of
     /// runs: a stale slot or counter would corrupt run N+1).
     plan: Arc<StealPlan>,
+    /// The model's weight table, shared by every run of both plans.
+    weights: Arc<HashMap<String, Value>>,
     /// Batch-3 plan from the switched hyperclustering.
     plan3: Arc<StealPlan>,
     inputs: Env,
@@ -80,6 +84,7 @@ fn matrix() -> &'static Vec<Fixture> {
                 let plan = Arc::new(StealPlan::new(&graph, &clustering, 1).unwrap());
                 let hc = switched_hypercluster(&clustering, 3);
                 let plan3 = Arc::new(StealPlan::from_hyper(&graph, &hc).unwrap());
+                let weights = initializer_values(&graph).unwrap();
                 let inputs = synth_inputs(&graph, 42);
                 let batch3: Vec<Env> = (0..3)
                     .map(|b| synth_inputs(&graph, 42 + b as u64))
@@ -94,6 +99,7 @@ fn matrix() -> &'static Vec<Fixture> {
                     graph,
                     clustering,
                     plan,
+                    weights,
                     plan3,
                     inputs,
                     batch3,
@@ -161,6 +167,7 @@ proptest! {
         });
         let pool = StealPool::global();
         for fx in matrix() {
+            let opts = opts.clone().init_values(Arc::clone(&fx.weights));
             let outs = pool
                 .run_plan(&fx.plan, std::slice::from_ref(&fx.inputs), &ctx, &opts)
                 .unwrap_or_else(|e| panic!("{}: seed {seed}: stealing failed: {e}", fx.name));
@@ -175,6 +182,7 @@ proptest! {
         // One model per case at batch 3 keeps the batched path under the
         // same adversary without tripling the budget.
         let fx = &matrix()[(seed % MATRIX.len() as u64) as usize];
+        let opts = opts.init_values(Arc::clone(&fx.weights));
         let outs = pool
             .run_plan(&fx.plan3, &fx.batch3, &ctx, &opts)
             .unwrap_or_else(|e| panic!("{}: seed {seed}: batch-3 stealing failed: {e}", fx.name));
@@ -195,9 +203,11 @@ proptest! {
     #[test]
     fn pure_permutation_adversary_conforms(seed in any::<u64>()) {
         let ctx = ExecCtx::sequential();
-        let opts = RunOptions::default().steal_chaos(StealChaos { seed, max_stall_us: 0 });
         let pool = StealPool::global();
         let fx = &matrix()[(seed % MATRIX.len() as u64) as usize];
+        let opts = RunOptions::default()
+            .steal_chaos(StealChaos { seed, max_stall_us: 0 })
+            .init_values(Arc::clone(&fx.weights));
         let plan = Arc::new(StealPlan::new(&fx.graph, &fx.clustering, 1).unwrap());
         let outs = pool
             .run_plan(&plan, std::slice::from_ref(&fx.inputs), &ctx, &opts)
